@@ -38,7 +38,7 @@ for passes in (1, 4, 16, 64):
 est = sp.estimate_shapley(model, ds, passes=2, seed=5)
 jump = []
 for inst in ds:
-    removal = sp.RemovalState(np.ones((inst.field_count, model.embedding.d), bool))
+    removal = np.ones((inst.field_count, model.embedding.d), bool)
     jump.append(sp.removal_loss_delta(model, inst, removal))
 print(f"\nsum of scores       {est.values.sum():+.12f}")
 print(f"mean full-removal   {np.mean(jump):+.12f}")

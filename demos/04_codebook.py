@@ -48,7 +48,7 @@ worst = min(sampled(codebook.values + rng.normal(0, 0.05, codebook.values.shape)
 print(f"best of 10 nearby perturbations: {worst:.5f} (none beat the closed form)")
 
 # imputation writes codebook entries into the pruned slots of a dense table
-mask = sp.PruneMask.from_dense(model.embedding.values < 0)
-imputed = sp.impute(model.embedding, mask, codebook)
-changed = imputed.dense != model.embedding.values
+negative = model.embedding.values < 0
+imputed = sp.impute(model.embedding.values, model.embedding.offsets, negative, codebook)
+changed = imputed != model.embedding.values
 print(f"\nimputed {changed.sum()} negative coordinates with their field's entry")

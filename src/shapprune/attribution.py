@@ -122,23 +122,6 @@ class AttributionScores:
             return cls.from_bytes(fh.read())
 
 
-@dataclass
-class RemovalState:
-    """Which (field, column) coordinates of the current instance are removed."""
-
-    flags: np.ndarray
-
-    @classmethod
-    def empty(cls, field_count: int, dim: int) -> "RemovalState":
-        return cls(np.zeros((field_count, dim), bool))
-
-    def add(self, field: int, column: int) -> None:
-        self.flags[field, column] = True
-
-    def copy(self) -> "RemovalState":
-        return RemovalState(self.flags.copy())
-
-
 def _instance_losses(model: Model, ids: np.ndarray, label: int, emb_stack: np.ndarray) -> np.ndarray:
     linear = model.backbone.bias + model.backbone.linear[ids].sum()
     z = scores_from_embedded(model.backbone, emb_stack, linear)
@@ -147,15 +130,17 @@ def _instance_losses(model: Model, ids: np.ndarray, label: int, emb_stack: np.nd
 
 
 def removal_loss_delta(
-    model: Model, instance: Instance, removal: RemovalState, base_loss: float | None = None
+    model: Model, instance: Instance, removal: np.ndarray, base_loss: float | None = None
 ) -> float:
     """Loss increase from zeroing the removed coordinates of this instance's
-    active rows: loss(masked) - loss(unmasked). Empty removal gives exactly 0."""
+    active rows: loss(masked) - loss(unmasked). removal is a bool (m, d)
+    array, True where a (field, column) coordinate is removed. Empty removal
+    gives exactly 0."""
     emb = embed_lookup(model, instance)
     ids = np.asarray(instance.feature_ids)
     if base_loss is None:
         base_loss = float(_instance_losses(model, ids, instance.label, emb[None])[0])
-    masked = np.where(removal.flags, 0.0, emb)
+    masked = np.where(removal, 0.0, emb)
     loss = float(_instance_losses(model, ids, instance.label, masked[None])[0])
     return loss - base_loss
 

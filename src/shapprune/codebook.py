@@ -58,40 +58,21 @@ def compute_codebook(model, dataset) -> Codebook:
     return Codebook(out, crc)
 
 
-class ImputedEmbedding:
-    """Row accessor over a pruned table with padding filled in.
+def impute(values: np.ndarray, offsets: np.ndarray, flags: np.ndarray, padding) -> np.ndarray:
+    """Effective embedding rows: a new array holding values where flags is
+    False and, where it is True, zero (padding="zero") or the row's field
+    codebook entry (padding a Codebook).
 
-    Materializes the effective table once; row(i) and rows(ids) read from it
-    bit for bit as the pruned scorer does.
+    values is (k, d) with its rows grouped into fields by offsets (m+1);
+    flags is a bool (k, d) array of pruned coordinates.
     """
-
-    def __init__(self, dense: np.ndarray):
-        self.dense = dense
-
-    def row(self, feature_id: int) -> np.ndarray:
-        return self.dense[feature_id]
-
-    def rows(self, ids: np.ndarray) -> np.ndarray:
-        return self.dense[ids]
-
-
-def impute(table, mask, padding) -> ImputedEmbedding:
-    """Effective embedding view: kept coordinates keep their stored values,
-    masked ones read zero or the field's codebook row.
-
-    table needs .values (n, d) and .offsets (m+1); mask is a PruneMask;
-    padding is "zero" or a Codebook.
-    """
-    flags = mask.dense()
-    dense = table.values.copy()
     if isinstance(padding, Codebook):
-        expanded = padding.values[fields_from_offsets(table.offsets)]
-        dense[flags] = expanded[flags]
+        fill = padding.values[fields_from_offsets(offsets)]
     elif padding == "zero":
-        dense[flags] = 0.0
+        fill = 0.0
     else:
         raise ValueError('padding must be "zero" or a Codebook')
-    return ImputedEmbedding(dense)
+    return np.where(flags, fill, values)
 
 
 def codebook_objective(

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from . import serialization as ser
-from .codebook import Codebook, codebook_section_payload, codebook_from_section
+from .codebook import Codebook, codebook_from_section, codebook_section_payload, impute
 from .data import Vocabulary, Instance
 
 EPS = 1e-7
@@ -72,54 +72,25 @@ class BackboneParams:
 
 @dataclass
 class PruneMask:
-    """Set of pruned (feature id, embedding column) coordinates.
+    """Set of pruned (feature id, embedding column) coordinates: flags is a
+    bool (n, d) array, True where the coordinate is pruned."""
 
-    Stored as sorted rows: col_idx[row_ptr[i]:row_ptr[i+1]] are the pruned
-    columns of feature i, strictly increasing.
-    """
-
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
-    shape: tuple
-
-    def __post_init__(self):
-        self._dense = None
+    flags: np.ndarray
 
     @classmethod
     def from_dense(cls, flags: np.ndarray) -> "PruneMask":
-        rows, cols = np.nonzero(flags)
-        row_ptr = np.zeros(flags.shape[0] + 1, np.int64)
-        np.cumsum(np.bincount(rows, minlength=flags.shape[0]), out=row_ptr[1:])
-        return cls(row_ptr, cols.astype(np.int32), flags.shape)
+        return cls(np.array(flags, bool))
 
     def dense(self) -> np.ndarray:
-        if self._dense is None:
-            flags = np.zeros(self.shape, bool)
-            rows = np.repeat(np.arange(self.shape[0]), np.diff(self.row_ptr))
-            flags[rows, self.col_idx] = True
-            self._dense = flags
-        return self._dense
+        return self.flags
 
     @property
     def count(self) -> int:
-        return int(self.col_idx.shape[0])
+        return int(np.count_nonzero(self.flags))
 
-    def section_payload(self) -> bytes:
-        w = ser.ByteWriter()
-        w.u64(self.shape[0])
-        w.u64(self.shape[1])
-        w.array(self.row_ptr.astype("<u8"))
-        w.array(self.col_idx.astype("<u4"))
-        return w.getvalue()
-
-    @classmethod
-    def from_section(cls, payload: bytes) -> "PruneMask":
-        r = ser.ByteReader(payload)
-        n, d = r.u64(), r.u64()
-        row_ptr = np.frombuffer(r.take(8 * (n + 1)), "<u8").astype(np.int64)
-        count = int(row_ptr[-1])
-        col_idx = np.frombuffer(r.take(4 * count), "<u4").astype(np.int32)
-        return cls(row_ptr, col_idx, (n, d))
+    @property
+    def shape(self) -> tuple:
+        return self.flags.shape
 
 
 @dataclass
@@ -128,7 +99,6 @@ class Model:
     backbone: BackboneParams
     vocab: Vocabulary | None = None
     codebook: Codebook | None = None
-    mask: PruneMask | None = None
 
 
 @dataclass
@@ -171,25 +141,26 @@ def init_model(vocab: Vocabulary, config: TrainConfig) -> Model:
     return Model(EmbeddingTable(values, vocab.offsets.copy()), backbone, vocab)
 
 
-def _mlp_scores(layers, flat: np.ndarray) -> np.ndarray:
-    h = flat
-    for W, b in layers[:-1]:
-        h = np.maximum(h @ W.T + b, 0.0)
-    W, b = layers[-1]
-    return (h @ W.T + b)[:, 0]
-
-
-def scores_from_embedded(backbone: BackboneParams, emb: np.ndarray, linear_term) -> np.ndarray:
-    """Pre-sigmoid scores for a batch of already-gathered embedding stacks.
-
-    emb has shape (B, m, d); linear_term is the bias-plus-linear part, scalar
-    or (B,). Raises NonFiniteError naming the stage that went non-finite.
-    """
+def _forward(backbone: BackboneParams, emb: np.ndarray, linear_term, acts):
+    """Pre-sigmoid scores of a (B, m, d) embedding stack and its column sums
+    (B, d). When acts is a list, each hidden layer appends its (input,
+    pre-activation) pair and the output layer appends (input, None), which
+    is what the backward pass reads. Raises NonFiniteError naming the stage
+    that went non-finite."""
     total = emb.sum(axis=1)
     pair = 0.5 * ((total * total).sum(axis=-1) - (emb * emb).sum(axis=(-2, -1)))
     z = linear_term + pair
     if backbone.kind == DEEPFM:
-        z = z + _mlp_scores(backbone.layers, emb.reshape(emb.shape[0], -1))
+        h = emb.reshape(emb.shape[0], -1)
+        for W, b in backbone.layers[:-1]:
+            pre = h @ W.T + b
+            if acts is not None:
+                acts.append((h, pre))
+            h = np.maximum(pre, 0.0)
+        W, b = backbone.layers[-1]
+        if acts is not None:
+            acts.append((h, None))
+        z = z + (h @ W.T + b)[:, 0]
     if not np.isfinite(z).all():
         for stage, part in (
             ("embedding", emb),
@@ -199,7 +170,16 @@ def scores_from_embedded(backbone: BackboneParams, emb: np.ndarray, linear_term)
             if not np.isfinite(part).all():
                 raise NonFiniteError(f"non-finite value in {stage} stage")
         raise NonFiniteError("non-finite value in mlp stage")
-    return z
+    return z, total
+
+
+def scores_from_embedded(backbone: BackboneParams, emb: np.ndarray, linear_term) -> np.ndarray:
+    """Pre-sigmoid scores for a batch of already-gathered embedding stacks.
+
+    emb has shape (B, m, d); linear_term is the bias-plus-linear part, scalar
+    or (B,). Raises NonFiniteError naming the stage that went non-finite.
+    """
+    return _forward(backbone, emb, linear_term, None)[0]
 
 
 def raw_scores(values: np.ndarray, backbone: BackboneParams, ids: np.ndarray) -> np.ndarray:
@@ -250,20 +230,11 @@ def forward(model: Model, instance: Instance, mask: PruneMask | None = None, pad
     if mask is not None:
         if padding is None:
             raise ValueError("padding mode required when a mask is given")
-        emb = np.where(mask.dense()[ids], _resolve_padding(padding), emb)
+        # active row j is the only row of field j
+        emb = impute(emb, np.arange(emb.shape[0] + 1), mask.dense()[ids], padding)
     linear = model.backbone.bias + model.backbone.linear[ids].sum()
     z = scores_from_embedded(model.backbone, emb[None], linear)
     return float(clamp_probability(expit(z))[0])
-
-
-def _resolve_padding(padding):
-    """Replacement values for masked coordinates: 0.0 for "zero" padding,
-    the (m, d) codebook rows for codebook padding."""
-    if isinstance(padding, Codebook):
-        return padding.values
-    if padding == "zero":
-        return 0.0
-    raise ValueError('padding must be "zero" or a Codebook')
 
 
 def log_loss(prediction, label):
@@ -287,7 +258,8 @@ def _batch_gradients(values, backbone, ids, labels, scale=None):
     """Mean loss and summed-then-scaled gradients for one mini-batch.
 
     scale defaults to 1/B so gradients match the mean loss; pass 1.0 for a
-    single instance to get that instance's own gradient.
+    single instance to get that instance's own gradient. Raises
+    NonFiniteError when a score goes non-finite.
     """
     B, m = ids.shape
     d = values.shape[1]
@@ -295,20 +267,8 @@ def _batch_gradients(values, backbone, ids, labels, scale=None):
         scale = 1.0 / B
     emb = values[ids]
     linear = backbone.bias + backbone.linear[ids].sum(axis=1)
-    total = emb.sum(axis=1)
-    pair = 0.5 * ((total * total).sum(axis=-1) - (emb * emb).sum(axis=(-2, -1)))
-    z = linear + pair
-
     acts = []
-    if backbone.kind == DEEPFM:
-        h = emb.reshape(B, m * d)
-        for W, b in backbone.layers[:-1]:
-            pre = h @ W.T + b
-            acts.append((h, pre))
-            h = np.maximum(pre, 0.0)
-        W, b = backbone.layers[-1]
-        acts.append((h, None))
-        z = z + (h @ W.T + b)[:, 0]
+    z, total = _forward(backbone, emb, linear, acts)
 
     p = expit(z)
     y = labels.astype(np.float64)
@@ -369,21 +329,16 @@ def train(
     modified; a trained copy is returned.
     """
     model = copy.deepcopy(init) if init is not None else init_model(dataset.vocab, config)
-    values = model.embedding.values
+    table = model.embedding
     backbone = model.backbone
-    n, d = values.shape
 
     flags = None
     if mask is not None:
-        if mask.shape != (n, d):
+        if mask.shape != table.values.shape:
             raise ValueError("mask shape does not match the embedding table")
         flags = mask.dense()
-        replacement = _resolve_padding(padding)
-        if isinstance(replacement, np.ndarray):
-            replacement = replacement[dataset.vocab.feature_fields]
-            values[flags] = replacement[flags]
-        else:
-            values[flags] = replacement
+        table.values = impute(table.values, table.offsets, flags, padding)
+    values = table.values
 
     params = [values, backbone.linear, np.array([backbone.bias])]
     params.extend(p for pair in backbone.layers for p in pair)
@@ -403,11 +358,9 @@ def train(
                     values, backbone, dataset.ids[take], dataset.labels[take]
                 )
             except NonFiniteError:
-                loss = math.inf
-            if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch} batch {batch_index}"
-                )
+                ) from None
             if flags is not None:
                 grads.embedding[flags] = 0.0
             grad_list = [grads.embedding, grads.linear, np.array([grads.bias])]
@@ -430,15 +383,28 @@ def train(
     return model
 
 
-def model_to_bytes(model: Model) -> bytes:
-    emb, backbone = model.embedding, model.backbone
-    w = ser.ByteWriter()
-    w.u8(_BACKBONE_TAGS[backbone.kind])
-    w.u64(emb.field_count)
-    w.u64(emb.n)
-    w.u64(emb.d)
-    w.array(emb.offsets.astype("<u8"))
-    w.array(emb.values.astype("<f8"))
+def write_head(w: ser.ByteWriter, kind: str, offsets: np.ndarray, n: int, d: int) -> None:
+    """Backbone tag, table shape and field offsets: the block every model
+    and pruned checkpoint body carries first."""
+    w.u8(_BACKBONE_TAGS[kind])
+    w.u64(offsets.shape[0] - 1)
+    w.u64(n)
+    w.u64(d)
+    w.array(offsets.astype("<u8"))
+
+
+def read_head(r: ser.ByteReader) -> tuple:
+    """Inverse of write_head: (kind, offsets, n, d)."""
+    tag = r.u8()
+    if tag not in _TAG_BACKBONES:
+        raise ser.CheckpointError(f"file does not hold a model (kind tag {tag})")
+    m, n, d = r.u64(), r.u64(), r.u64()
+    offsets = np.frombuffer(r.take(8 * (m + 1)), "<u8").astype(np.int64)
+    return _TAG_BACKBONES[tag], offsets, n, d
+
+
+def write_backbone(w: ser.ByteWriter, backbone: BackboneParams) -> None:
+    """Linear weights, bias, then each MLP layer's shape, weights and bias."""
     w.array(backbone.linear.astype("<f8"))
     w.f64(backbone.bias)
     w.u8(len(backbone.layers))
@@ -447,22 +413,10 @@ def model_to_bytes(model: Model) -> bytes:
         w.u64(W.shape[1])
         w.array(W.astype("<f8"))
         w.array(b.astype("<f8"))
-    if model.mask is not None:
-        w.section(ser.SECTION_MASK, model.mask.section_payload())
-    if model.codebook is not None:
-        w.section(ser.SECTION_CODEBOOK, codebook_section_payload(model.codebook))
-    return ser.seal(w.getvalue())
 
 
-def model_from_bytes(data: bytes, vocab: Vocabulary | None = None) -> Model:
-    r = ser.unseal(data)
-    tag = r.u8()
-    if tag not in _TAG_BACKBONES:
-        raise ser.CheckpointError(f"file does not hold a model (kind tag {tag})")
-    kind = _TAG_BACKBONES[tag]
-    m, n, d = r.u64(), r.u64(), r.u64()
-    offsets = np.frombuffer(r.take(8 * (m + 1)), "<u8").astype(np.int64)
-    values = np.frombuffer(r.take(8 * n * d), "<f8").reshape(n, d).copy()
+def read_backbone(r: ser.ByteReader, kind: str, n: int) -> BackboneParams:
+    """Inverse of write_backbone for a table of n features."""
     linear = np.frombuffer(r.take(8 * n), "<f8").copy()
     bias = r.f64()
     layers = []
@@ -471,21 +425,32 @@ def model_from_bytes(data: bytes, vocab: Vocabulary | None = None) -> Model:
         W = np.frombuffer(r.take(8 * rows * cols), "<f8").reshape(rows, cols).copy()
         b = np.frombuffer(r.take(8 * rows), "<f8").copy()
         layers.append((W, b))
-    mask = codebook = None
-    for sec_tag, payload in r.sections():
-        if sec_tag == ser.SECTION_MASK:
-            mask = PruneMask.from_section(payload)
-        elif sec_tag == ser.SECTION_CODEBOOK:
-            codebook = codebook_from_section(payload, m, d)
+    return BackboneParams(kind, bias, linear, layers)
+
+
+def model_to_bytes(model: Model) -> bytes:
+    emb = model.embedding
+    w = ser.ByteWriter()
+    write_head(w, model.backbone.kind, emb.offsets, emb.n, emb.d)
+    w.array(emb.values.astype("<f8"))
+    write_backbone(w, model.backbone)
+    if model.codebook is not None:
+        w.section(ser.SECTION_CODEBOOK, codebook_section_payload(model.codebook))
+    return ser.seal(w.getvalue())
+
+
+def model_from_bytes(data: bytes, vocab: Vocabulary | None = None) -> Model:
+    r = ser.unseal(data)
+    kind, offsets, n, d = read_head(r)
+    values = np.frombuffer(r.take(8 * n * d), "<f8").reshape(n, d).copy()
+    backbone = read_backbone(r, kind, n)
+    codebook = None
+    for tag, payload in r.sections():
+        if tag == ser.SECTION_CODEBOOK:
+            codebook = codebook_from_section(payload, offsets.shape[0] - 1, d)
     if vocab is not None and (vocab.n != n or not np.array_equal(vocab.offsets, offsets)):
         raise ser.CheckpointError("vocabulary does not match this checkpoint")
-    return Model(
-        EmbeddingTable(values, offsets),
-        BackboneParams(kind, bias, linear, layers),
-        vocab,
-        codebook,
-        mask,
-    )
+    return Model(EmbeddingTable(values, offsets), backbone, vocab, codebook)
 
 
 def save_model(model: Model, path) -> None:

@@ -22,12 +22,15 @@ from .codebook import Codebook, codebook_from_section, codebook_section_payload,
 from .data import Dataset
 from .model import (
     BackboneParams,
-    EmbeddingTable,
     Model,
     PruneMask,
     log_loss,
     model_to_bytes,
     predict_proba_values,
+    read_backbone,
+    read_head,
+    write_backbone,
+    write_head,
 )
 
 ZERO = "zero"
@@ -75,42 +78,31 @@ class PrunedModel:
     def kept_count(self) -> int:
         return int(self.row_ptr[-1])
 
+    def _kept_rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n), np.diff(self.row_ptr))
+
     def prune_mask(self) -> PruneMask:
         flags = np.ones((self.n, self.dim), bool)
-        rows = np.repeat(np.arange(self.n), np.diff(self.row_ptr))
-        flags[rows, self.col_idx] = False
-        return PruneMask.from_dense(flags)
+        flags[self._kept_rows(), self.col_idx] = False
+        return PruneMask(flags)
 
     def effective_values(self) -> np.ndarray:
         """Dense (n, d) table the scorer actually reads: kept values in
         place, padding everywhere else."""
         if self._effective is None:
             stored = np.zeros((self.n, self.dim))
-            rows = np.repeat(np.arange(self.n), np.diff(self.row_ptr))
-            stored[rows, self.col_idx] = self.csr_values
-            table = EmbeddingTable(stored, self.offsets)
+            stored[self._kept_rows(), self.col_idx] = self.csr_values
             pad = self.codebook if self.padding == CODEBOOK else ZERO
-            self._effective = impute(table, self.prune_mask(), pad).dense
+            self._effective = impute(stored, self.offsets, self.prune_mask().dense(), pad)
         return self._effective
 
     def to_bytes(self) -> bytes:
         w = ser.ByteWriter()
         w.u8(ser.TAG_PRUNED)
-        w.u8(ser.TAG_MODEL_FM if self.backbone.kind == "fm" else ser.TAG_MODEL_DEEPFM)
-        w.u64(self.offsets.shape[0] - 1)
-        w.u64(self.n)
-        w.u64(self.dim)
-        w.array(self.offsets.astype("<u8"))
+        write_head(w, self.backbone.kind, self.offsets, self.n, self.dim)
         w.u8(_PAD_CODES[self.padding])
         w.f64(self.sparsity)
-        w.array(self.backbone.linear.astype("<f8"))
-        w.f64(self.backbone.bias)
-        w.u8(len(self.backbone.layers))
-        for W, b in self.backbone.layers:
-            w.u64(W.shape[0])
-            w.u64(W.shape[1])
-            w.array(W.astype("<f8"))
-            w.array(b.astype("<f8"))
+        write_backbone(w, self.backbone)
         csr = ser.ByteWriter()
         csr.array(self.row_ptr.astype("<u8"))
         csr.array(self.col_idx.astype("<u4"))
@@ -124,38 +116,45 @@ class PrunedModel:
     def from_bytes(cls, data: bytes) -> "PrunedModel":
         r = ser.unseal(data)
         ser.expect_kind(r, ser.TAG_PRUNED, "a pruned model")
-        backbone_tag = r.u8()
-        kind = "fm" if backbone_tag == ser.TAG_MODEL_FM else "deepfm"
-        m, n, d = r.u64(), r.u64(), r.u64()
-        offsets = np.frombuffer(r.take(8 * (m + 1)), "<u8").astype(np.int64)
-        padding = _CODE_PADS[r.u8()]
+        kind, offsets, n, d = read_head(r)
+        code = r.u8()
+        if code not in _CODE_PADS:
+            raise ser.CheckpointError(f"unknown padding code {code}")
         sparsity = r.f64()
-        linear = np.frombuffer(r.take(8 * n), "<f8").copy()
-        bias = r.f64()
-        layers = []
-        for _ in range(r.u8()):
-            rows, cols = r.u64(), r.u64()
-            W = np.frombuffer(r.take(8 * rows * cols), "<f8").reshape(rows, cols).copy()
-            b = np.frombuffer(r.take(8 * rows), "<f8").copy()
-            layers.append((W, b))
-        row_ptr = col_idx = values = codebook = None
+        backbone = read_backbone(r, kind, n)
+        csr = codebook = None
         for tag, payload in r.sections():
             if tag == ser.SECTION_CSR:
-                cr = ser.ByteReader(payload)
-                row_ptr = np.frombuffer(cr.take(8 * (n + 1)), "<u8").astype(np.int64)
-                kept = int(row_ptr[-1])
-                col_idx = np.frombuffer(cr.take(4 * kept), "<u4").astype(np.int32)
-                values = np.frombuffer(cr.take(8 * kept), "<f8").copy()
+                csr = _read_csr(payload, n, d)
             elif tag == ser.SECTION_CODEBOOK:
-                codebook = codebook_from_section(payload, m, d)
-        if row_ptr is None:
+                codebook = codebook_from_section(payload, offsets.shape[0] - 1, d)
+        if csr is None:
             raise ser.CheckpointError("pruned model is missing its CSR section")
-        backbone = BackboneParams(kind, bias, linear, layers)
-        return cls(row_ptr, col_idx, values, offsets, d, backbone, padding, codebook, sparsity)
+        return cls(*csr, offsets, d, backbone, _CODE_PADS[code], codebook, sparsity)
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
             fh.write(self.to_bytes())
+
+
+def _read_csr(payload: bytes, n: int, d: int) -> tuple:
+    """(row_ptr, col_idx, values) of an n-row CSR section, rejecting any
+    layout other than the one prune writes: rows of at most d strictly
+    increasing columns below d, and no bytes past the last value."""
+    r = ser.ByteReader(payload)
+    row_ptr = np.frombuffer(r.take(8 * (n + 1)), "<u8").astype(np.int64)
+    per_row = np.diff(row_ptr)
+    if row_ptr[0] != 0 or (per_row < 0).any() or (per_row > d).any():
+        raise ser.CheckpointError("CSR row pointers are not a valid row index")
+    kept = int(row_ptr[-1])
+    if len(payload) != 8 * (n + 1) + 12 * kept:
+        raise ser.CheckpointError("CSR section length does not match its row pointers")
+    col_idx = np.frombuffer(r.take(4 * kept), "<u4")
+    flat = np.repeat(np.arange(n), per_row) * d + col_idx
+    if (col_idx >= d).any() or (np.diff(flat) <= 0).any():
+        raise ser.CheckpointError("CSR columns are out of range or not increasing")
+    values = np.frombuffer(r.take(8 * kept), "<f8").copy()
+    return row_ptr, col_idx.astype(np.int32), values
 
 
 def load_pruned(path) -> PrunedModel:

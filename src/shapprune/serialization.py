@@ -10,6 +10,38 @@ Common layout:
 All integers are little-endian. Matrices are flat float64 row-major blocks.
 Optional trailing data uses framed sections: tag u8, payload length u64,
 payload bytes.
+
+Bodies by kind. Two blocks are shared by dense and pruned models and have
+one writer and one reader each (model.write_head/read_head and
+model.write_backbone/read_backbone):
+
+    head       backbone tag u8 (1 fm, 2 deepfm), field count m u64,
+               features n u64, dim d u64, field offsets (m+1) u64
+    backbone   linear weights n f64, bias f64, layer count u8, then per
+               layer: rows u64, cols u64, W rows*cols f64, b rows f64
+
+    model      head (its backbone tag is the kind tag), table n*d f64,
+               backbone, sections: codebook
+    pruned     kind tag 18, head, padding code u8 (0 zero, 1 codebook),
+               sparsity f64, backbone, sections: CSR (required), codebook
+    vocabulary kind tag 16, min count u64, m u64, then per field: name
+               text, field kind u8, token count u64, tokens as text
+    scores     kind tag 17, n u64, d u64, sections: scores, metadata
+
+Sections:
+
+    1 retired: held a pruned-coordinate mask; never written, never reused
+    2 codebook  m u64, d u64, frequency fingerprint u32, values m*d f64
+    3 CSR       row_ptr (n+1) u64, col_idx u32 and values f64 per kept
+                entry; row i keeps col_idx[row_ptr[i]:row_ptr[i+1]], at
+                most d strictly increasing columns below d, and the
+                payload ends with the last value
+    4 metadata  method code u8, seed u64, passes u64, forward count u64,
+                dataset fingerprint u32
+    5 scores    n*d f64
+
+Text is a u32 byte length followed by UTF-8 bytes. Readers skip sections
+whose tag they do not use.
 """
 
 from __future__ import annotations
@@ -31,8 +63,7 @@ TAG_PRUNED = 18
 
 MODEL_TAGS = (TAG_MODEL_FM, TAG_MODEL_DEEPFM)
 
-# Section tags for optional framed payloads.
-SECTION_MASK = 1
+# Section tags for optional framed payloads. Tag 1 is retired.
 SECTION_CODEBOOK = 2
 SECTION_CSR = 3
 SECTION_METADATA = 4
@@ -139,16 +170,6 @@ def unseal(data: bytes) -> ByteReader:
     if zlib.crc32(data[:-4]) != stored:
         raise CheckpointError("checksum mismatch, file is corrupt")
     return ByteReader(data[len(MAGIC) + 4 : -4])
-
-
-def write_file(path, body: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(seal(body))
-
-
-def read_file(path) -> ByteReader:
-    with open(path, "rb") as fh:
-        return unseal(fh.read())
 
 
 def expect_kind(reader: ByteReader, expected: int, what: str) -> int:

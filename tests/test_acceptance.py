@@ -18,7 +18,7 @@ from helpers import flat_fm_model, table_game_exact_shapley, tiny_random_model
 
 
 def full_removal_delta(model, instance, dim):
-    removal = sp.RemovalState(np.ones((instance.field_count, dim), bool))
+    removal = np.ones((instance.field_count, dim), bool)
     return sp.removal_loss_delta(model, instance, removal)
 
 

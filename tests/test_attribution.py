@@ -14,15 +14,14 @@ from helpers import (
 
 
 def full_removal_delta(model, instance, dim):
-    m = instance.field_count
-    removal = sp.RemovalState(np.ones((m, dim), bool))
+    removal = np.ones((instance.field_count, dim), bool)
     return sp.removal_loss_delta(model, instance, removal)
 
 
 class TestRemovalLossDelta:
     def test_empty_removal_is_exactly_zero(self, toy_model, toy_corpus):
         _, _, _, ds = toy_corpus
-        removal = sp.RemovalState.empty(3, 3)
+        removal = np.zeros((3, 3), bool)
         for inst in ds:
             assert sp.removal_loss_delta(toy_model, inst, removal) == 0.0
 
@@ -30,8 +29,8 @@ class TestRemovalLossDelta:
         # base: z = 6, loss = log(1 + exp(-6)); zeroing either active
         # coordinate kills the interaction term, so z = 0 and loss = log 2
         inst = sp.Instance(1, np.array([0, 1], dtype=np.int64))
-        removal = sp.RemovalState.empty(2, 1)
-        removal.add(0, 0)
+        removal = np.zeros((2, 1), bool)
+        removal[0, 0] = True
         expected = math.log(2.0) - math.log1p(math.exp(-6.0))
         assert sp.removal_loss_delta(hand_model, inst, removal) == pytest.approx(
             expected, abs=1e-15
@@ -39,19 +38,12 @@ class TestRemovalLossDelta:
 
     def test_explicit_base_loss_is_honored(self, hand_model):
         inst = sp.Instance(1, np.array([0, 1], dtype=np.int64))
-        removal = sp.RemovalState.empty(2, 1)
-        removal.add(1, 0)
+        removal = np.zeros((2, 1), bool)
+        removal[1, 0] = True
         free = sp.removal_loss_delta(hand_model, inst, removal)
         pinned = sp.removal_loss_delta(hand_model, inst, removal, base_loss=0.0)
         base = math.log1p(math.exp(-6.0))
         assert pinned - free == pytest.approx(base, abs=1e-15)
-
-    def test_removal_state_copy_is_independent(self):
-        a = sp.RemovalState.empty(2, 2)
-        b = a.copy()
-        b.add(1, 1)
-        assert not a.flags[1, 1]
-        assert b.flags[1, 1]
 
 
 class TestExactLocal:

@@ -82,35 +82,31 @@ class TestImpute:
         flags = np.zeros(values.shape, bool)
         flags[0, :] = True
         flags[3, 1] = True
-        view = sp.impute(toy_model.embedding, sp.PruneMask.from_dense(flags), sp.ZERO)
-        assert np.all(view.row(0) == 0.0)
-        assert view.dense[3, 1] == 0.0
-        assert np.array_equal(view.dense[~flags], values[~flags])
+        out = sp.impute(values, toy_model.embedding.offsets, flags, sp.ZERO)
+        assert np.all(out[0] == 0.0)
+        assert out[3, 1] == 0.0
+        assert np.array_equal(out[~flags], values[~flags])
 
     def test_codebook_padding(self, toy_model, toy_corpus):
         _, _, vocab, ds = toy_corpus
         codebook = sp.compute_codebook(toy_model, ds)
         flags = np.ones(toy_model.embedding.values.shape, bool)
-        view = sp.impute(toy_model.embedding, sp.PruneMask.from_dense(flags), codebook)
+        table = toy_model.embedding
+        out = sp.impute(table.values, table.offsets, flags, codebook)
         expected = codebook.values[vocab.feature_fields]
-        assert np.array_equal(view.dense, expected)
+        assert np.array_equal(out, expected)
 
     def test_empty_mask_changes_nothing(self, toy_model):
         flags = np.zeros(toy_model.embedding.values.shape, bool)
-        view = sp.impute(toy_model.embedding, sp.PruneMask.from_dense(flags), sp.ZERO)
-        assert np.array_equal(view.dense, toy_model.embedding.values)
-
-    def test_rows_accessor(self, toy_model):
-        flags = np.zeros(toy_model.embedding.values.shape, bool)
-        flags[1, 0] = True
-        view = sp.impute(toy_model.embedding, sp.PruneMask.from_dense(flags), sp.ZERO)
-        ids = np.array([1, 4])
-        assert np.array_equal(view.rows(ids), view.dense[ids])
+        table = toy_model.embedding
+        out = sp.impute(table.values, table.offsets, flags, sp.ZERO)
+        assert np.array_equal(out, table.values)
+        assert out is not table.values
 
     def test_unknown_padding_rejected(self, toy_model):
         flags = np.zeros(toy_model.embedding.values.shape, bool)
         with pytest.raises(ValueError, match="padding"):
-            sp.impute(toy_model.embedding, sp.PruneMask.from_dense(flags), "median")
+            sp.impute(toy_model.embedding.values, toy_model.embedding.offsets, flags, "median")
 
 
 class TestObjective:

@@ -330,13 +330,9 @@ class TestPruneMask:
         mask = sp.PruneMask.from_dense(flags)
         assert np.array_equal(mask.dense(), flags)
         assert mask.count == int(flags.sum())
-
-    def test_section_round_trip(self):
-        flags = np.array([[True, False], [False, False], [True, True]])
-        mask = sp.PruneMask.from_dense(flags)
-        back = sp.PruneMask.from_section(mask.section_payload())
-        assert back.shape == (3, 2)
-        assert np.array_equal(back.dense(), flags)
+        assert mask.shape == (6, 3)
+        flags[:] = False  # the mask keeps its own copy
+        assert mask.count > 0
 
 
 class TestModelSerialization:
@@ -354,17 +350,10 @@ class TestModelSerialization:
         import dataclasses
 
         _, _, _, ds = toy_corpus
-        flags = np.zeros(toy_model.embedding.values.shape, bool)
-        flags[0, 0] = True
-        stamped = dataclasses.replace(
-            toy_model,
-            mask=sp.PruneMask.from_dense(flags),
-            codebook=sp.compute_codebook(toy_model, ds),
-        )
+        stamped = dataclasses.replace(toy_model, codebook=sp.compute_codebook(toy_model, ds))
         path = tmp_path / "model.shvr"
         sp.save_model(stamped, path)
         back = sp.load_model(path)
-        assert back.mask is not None and back.mask.count == 1
         assert back.codebook is not None
         assert np.allclose(back.codebook.values, stamped.codebook.values)
 

@@ -193,6 +193,59 @@ class TestPrunedSerialization:
         with pytest.raises(CheckpointError, match="missing its CSR section"):
             sp.PrunedModel.from_bytes(ser.seal(w.getvalue()))
 
+    @staticmethod
+    def crafted(offsets, d, backbone_tag=1, pad_code=0, row_ptr=None, col_idx=None):
+        """CRC-valid FM pruned body whose rows each keep column 0, with one
+        field optionally overridden."""
+        from shapprune import serialization as ser
+
+        n = int(offsets[-1])
+        row_ptr = np.arange(n + 1) if row_ptr is None else np.asarray(row_ptr)
+        col_idx = np.zeros(n) if col_idx is None else np.asarray(col_idx)
+        w = ser.ByteWriter()
+        w.u8(ser.TAG_PRUNED)
+        w.u8(backbone_tag)
+        w.u64(offsets.shape[0] - 1)
+        w.u64(n)
+        w.u64(d)
+        w.array(offsets.astype("<u8"))
+        w.u8(pad_code)
+        w.f64(0.5)
+        w.array(np.zeros(n, dtype="<f8"))
+        w.f64(0.0)
+        w.u8(0)
+        csr = ser.ByteWriter()
+        csr.array(row_ptr.astype("<u8"))
+        csr.array(col_idx.astype("<u4"))
+        csr.array(np.ones(int(row_ptr[-1]), dtype="<f8"))
+        w.section(ser.SECTION_CSR, csr.getvalue())
+        return ser.seal(w.getvalue())
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"backbone_tag": 7},
+            {"pad_code": 9},
+            {"col_idx": [0, 0, 0, 3, 0, 0, 0]},
+            {"row_ptr": [0, 1, 2, 4, 3, 5, 6, 7]},
+        ],
+        ids=["backbone_tag", "padding_code", "column_out_of_range", "decreasing_row_ptr"],
+    )
+    def test_malformed_file_is_a_checkpoint_error(self, bad, toy_corpus, tmp_path):
+        from shapprune.cli import main
+
+        rows, _, vocab, _ = toy_corpus
+        sp.PrunedModel.from_bytes(self.crafted(vocab.offsets, 3))  # well-formed baseline
+        path = tmp_path / "bad.shvr"
+        path.write_bytes(self.crafted(vocab.offsets, 3, **bad))
+        with pytest.raises(CheckpointError):
+            sp.load_pruned(path)
+        vocab.save(tmp_path / "toy.vocab")
+        sp.write_csv_rows(tmp_path / "toy.csv", rows)
+        argv = ["eval", "--model", str(path), "--vocab", str(tmp_path / "toy.vocab"),
+                "--data", str(tmp_path / "toy.csv")]
+        assert main(argv) == 1
+
     def test_wrong_kind(self, toy_model, tmp_path):
         path = tmp_path / "model.shvr"
         sp.save_model(toy_model, path)
