@@ -32,14 +32,7 @@ from scipy.special import expit
 
 from . import serialization as ser
 from .data import Dataset, Instance
-from .model import (
-    Model,
-    _batch_gradients,
-    clamp_probability,
-    embed_lookup,
-    log_loss,
-    scores_from_embedded,
-)
+from .model import Model, _batch_gradients, _forward, embed_lookup, log_loss
 
 SHAPLEY = "shapley"
 MAGNITUDE = "magnitude"
@@ -99,6 +92,8 @@ class AttributionScores:
         seed = passes = count = fingerprint = 0
         for tag, payload in r.sections():
             if tag == ser.SECTION_SCORES:
+                if len(payload) != 8 * n * d:
+                    raise ser.CheckpointError("scores section does not hold n * d values")
                 values = np.frombuffer(payload, "<f8").reshape(n, d).copy()
             elif tag == ser.SECTION_METADATA:
                 meta = ser.ByteReader(payload)
@@ -110,6 +105,8 @@ class AttributionScores:
                 fingerprint = meta.u32()
         if values is None or method is None:
             raise ser.CheckpointError("score file is missing a required section")
+        if not np.isfinite(values).all():
+            raise ser.CheckpointError("score file holds non-finite scores")
         return cls(values, method, seed, passes, count, fingerprint)
 
     def save(self, path) -> None:
@@ -122,27 +119,24 @@ class AttributionScores:
             return cls.from_bytes(fh.read())
 
 
-def _instance_losses(model: Model, ids: np.ndarray, label: int, emb_stack: np.ndarray) -> np.ndarray:
-    linear = model.backbone.bias + model.backbone.linear[ids].sum()
-    z = scores_from_embedded(model.backbone, emb_stack, linear)
-    p = clamp_probability(expit(z))
-    return log_loss(p, float(label))
+def _removal_losses(model: Model, ids: np.ndarray, label, removed: np.ndarray, out=None):
+    """The game's payoff: one instance's log loss for each removal set of a
+    bool (K, m, d) stack, True where that (field, column) coordinate of the
+    active rows is zeroed. out, if given, is a float (K, m, d) buffer that
+    receives the zeroed embedding stack."""
+    emb = np.multiply(model.embedding.values[ids], ~removed, out=out)
+    return log_loss(expit(_forward(model.backbone, ids, emb)[0]), label)
 
 
-def removal_loss_delta(
-    model: Model, instance: Instance, removal: np.ndarray, base_loss: float | None = None
-) -> float:
+def removal_loss_delta(model: Model, instance: Instance, removal: np.ndarray) -> float:
     """Loss increase from zeroing the removed coordinates of this instance's
     active rows: loss(masked) - loss(unmasked). removal is a bool (m, d)
     array, True where a (field, column) coordinate is removed. Empty removal
     gives exactly 0."""
-    emb = embed_lookup(model, instance)
+    embed_lookup(model, instance)  # range check
     ids = np.asarray(instance.feature_ids)
-    if base_loss is None:
-        base_loss = float(_instance_losses(model, ids, instance.label, emb[None])[0])
-    masked = np.where(removal, 0.0, emb)
-    loss = float(_instance_losses(model, ids, instance.label, masked[None])[0])
-    return loss - base_loss
+    base = _removal_losses(model, ids, instance.label, np.zeros((1, *removal.shape), bool))
+    return float(_removal_losses(model, ids, instance.label, removal[None])[0] - base[0])
 
 
 def _check_compatible(model: Model, dataset: Dataset) -> None:
@@ -158,32 +152,31 @@ def _visit_blocks(total_visits: int):
 
 
 def _run_block(model: Model, dataset: Dataset, seed: int, span) -> np.ndarray:
-    values = model.embedding.values
-    backbone = model.backbone
-    n, d = values.shape
+    n, d = model.embedding.values.shape
     m = dataset.ids.shape[1]
     md = m * d
     count = len(dataset)
     phi = np.zeros((n, d))
     thresholds = np.arange(-1, md)[:, None, None]
+    # One stack for the whole block: freeing it after every visit lets the
+    # allocator hand its pages back and fault them in again on the next one,
+    # which halved throughput at md = 624.
+    stack = np.empty((md + 1, m, d))
     for visit in range(*span):
         pass_idx, inst_idx = divmod(visit, count)
         rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, pass_idx, inst_idx]))
         perm = rng.permutation(md)
         ids = dataset.ids[inst_idx]
-        emb = values[ids]
         # position[j, c] = step at which that coordinate is removed; row k of
-        # the stack has every coordinate with position < k already zeroed, so
-        # row 0 is the untouched instance and row md the fully removed one.
+        # the stack has every coordinate with position < k already removed,
+        # so row 0 is the untouched instance and row md the fully removed one.
         position = np.empty(md, np.int64)
         position[perm] = np.arange(md)
-        stack = emb[None] * (position.reshape(m, d)[None] > thresholds)
-        linear = backbone.bias + backbone.linear[ids].sum()
-        z = scores_from_embedded(backbone, stack, linear)
-        p = clamp_probability(expit(z))
-        losses = log_loss(p, float(dataset.labels[inst_idx]))
-        marginals = np.diff(losses)
-        np.add.at(phi, (ids[perm // d], perm % d), marginals)
+        removed = position.reshape(m, d)[None] <= thresholds
+        losses = _removal_losses(model, ids, dataset.labels[inst_idx], removed, stack)
+        # ids of one instance are distinct (one per field block), so each
+        # active coordinate receives exactly one addition
+        phi[ids] += np.diff(losses)[position].reshape(m, d)
     return phi
 
 
@@ -233,9 +226,8 @@ def _subset_weights(md: int) -> np.ndarray:
 def exact_shapley_local(model: Model, instance: Instance) -> np.ndarray:
     """Exact field-level Shapley values of one instance, shape (m, d), by
     full subset enumeration. Refuses instances with m * d > 22."""
-    emb = embed_lookup(model, instance)
+    m, d = embed_lookup(model, instance).shape
     ids = np.asarray(instance.feature_ids)
-    m, d = emb.shape
     md = m * d
     if md > EXACT_PLAYER_LIMIT:
         raise ValueError(
@@ -250,8 +242,9 @@ def exact_shapley_local(model: Model, instance: Instance) -> np.ndarray:
         ints = np.arange(start, min(start + chunk, total), dtype=np.int64)
         removed = ((ints[:, None] >> bits_template) & 1).astype(bool)
         pop[start : start + ints.shape[0]] = removed.sum(axis=1)
-        stack = emb[None] * ~removed.reshape(-1, m, d)
-        u[start : start + ints.shape[0]] = _instance_losses(model, ids, instance.label, stack)
+        u[start : start + ints.shape[0]] = _removal_losses(
+            model, ids, instance.label, removed.reshape(-1, m, d)
+        )
     u -= u[0]
     weights = _subset_weights(md)
     indices = np.arange(total, dtype=np.int64)

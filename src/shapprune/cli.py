@@ -431,16 +431,9 @@ def build_parser():
     return parser, commands
 
 
-def _coerce(value: str, action) -> object:
-    if action.type is not None:
-        return action.type(value)
-    if isinstance(action.const, bool) or isinstance(action.default, bool):
-        return value.lower() in ("1", "true", "yes")
-    return value
-
-
 def apply_config(args, command_parser) -> None:
-    """Overlay key=value lines from --config onto parsed flags."""
+    """Overlay key=value lines from --config onto parsed flags. Values go
+    through the flag's type and choices, as on the command line."""
     actions = {a.dest: a for a in command_parser._actions}
     with open(args.config, encoding="utf-8") as fh:
         for line_number, raw in enumerate(fh, 1):
@@ -453,7 +446,14 @@ def apply_config(args, command_parser) -> None:
             dest = key.strip().replace("-", "_")
             if dest not in actions or dest in ("config", "command"):
                 raise DataError(f"config line {line_number}: unknown key {key.strip()!r}")
-            setattr(args, dest, _coerce(value.strip(), actions[dest]))
+            action = actions[dest]
+            value = value.strip() if action.type is None else action.type(value.strip())
+            if action.choices is not None and value not in action.choices:
+                raise DataError(
+                    f"config line {line_number}: {key.strip()} must be one of "
+                    f"{', '.join(action.choices)}, got {value!r}"
+                )
+            setattr(args, dest, value)
 
 
 def main(argv=None) -> int:

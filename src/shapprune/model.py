@@ -28,6 +28,10 @@ from .codebook import Codebook, codebook_from_section, codebook_section_payload,
 from .data import Vocabulary, Instance
 
 EPS = 1e-7
+# Adam moment decay rates and denominator offset
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 FM = "fm"
 DEEPFM = "deepfm"
@@ -109,9 +113,6 @@ class TrainConfig:
     epochs: int = 5
     batch_size: int = 256
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -141,12 +142,15 @@ def init_model(vocab: Vocabulary, config: TrainConfig) -> Model:
     return Model(EmbeddingTable(values, vocab.offsets.copy()), backbone, vocab)
 
 
-def _forward(backbone: BackboneParams, emb: np.ndarray, linear_term, acts):
+def _forward(backbone: BackboneParams, ids: np.ndarray, emb: np.ndarray, acts=None):
     """Pre-sigmoid scores of a (B, m, d) embedding stack and its column sums
-    (B, d). When acts is a list, each hidden layer appends its (input,
-    pre-activation) pair and the output layer appends (input, None), which
-    is what the backward pass reads. Raises NonFiniteError naming the stage
-    that went non-finite."""
+    (B, d). ids are the active feature ids: (B, m), one row per stack entry,
+    or (m,), shared by every entry of a one-instance stack; they select the
+    linear weights. When acts is a list, each hidden layer appends its
+    (input, pre-activation) pair and the output layer appends (input, None),
+    which is what the backward pass reads. Raises NonFiniteError naming the
+    stage that went non-finite."""
+    linear_term = backbone.bias + backbone.linear[ids].sum(axis=-1)
     total = emb.sum(axis=1)
     pair = 0.5 * ((total * total).sum(axis=-1) - (emb * emb).sum(axis=(-2, -1)))
     z = linear_term + pair
@@ -173,20 +177,6 @@ def _forward(backbone: BackboneParams, emb: np.ndarray, linear_term, acts):
     return z, total
 
 
-def scores_from_embedded(backbone: BackboneParams, emb: np.ndarray, linear_term) -> np.ndarray:
-    """Pre-sigmoid scores for a batch of already-gathered embedding stacks.
-
-    emb has shape (B, m, d); linear_term is the bias-plus-linear part, scalar
-    or (B,). Raises NonFiniteError naming the stage that went non-finite.
-    """
-    return _forward(backbone, emb, linear_term, None)[0]
-
-
-def raw_scores(values: np.ndarray, backbone: BackboneParams, ids: np.ndarray) -> np.ndarray:
-    linear = backbone.bias + backbone.linear[ids].sum(axis=1)
-    return scores_from_embedded(backbone, values[ids], linear)
-
-
 def clamp_probability(p):
     return np.clip(p, EPS, 1.0 - EPS)
 
@@ -200,9 +190,8 @@ def predict_proba_values(values, backbone, ids_matrix, batch_size: int = 8192) -
     out = np.empty(ids_matrix.shape[0])
     for start in range(0, ids_matrix.shape[0], batch_size):
         chunk = ids_matrix[start : start + batch_size]
-        out[start : start + chunk.shape[0]] = clamp_probability(
-            expit(raw_scores(values, backbone, chunk))
-        )
+        z = _forward(backbone, chunk, values[chunk])[0]
+        out[start : start + chunk.shape[0]] = clamp_probability(expit(z))
     return out
 
 
@@ -217,23 +206,10 @@ def embed_lookup(model: Model, instance: Instance) -> np.ndarray:
     return model.embedding.values[ids].copy()
 
 
-def forward(model: Model, instance: Instance, mask: PruneMask | None = None, padding=None) -> float:
-    """Clamped click probability for one instance.
-
-    With a mask, the masked coordinates of the active rows are replaced
-    before scoring: by zero (padding="zero") or by the field's codebook row
-    (padding=a Codebook). An empty mask reproduces the unmasked forward
-    bit for bit.
-    """
+def forward(model: Model, instance: Instance) -> float:
+    """Clamped click probability for one instance."""
     emb = embed_lookup(model, instance)
-    ids = np.asarray(instance.feature_ids)
-    if mask is not None:
-        if padding is None:
-            raise ValueError("padding mode required when a mask is given")
-        # active row j is the only row of field j
-        emb = impute(emb, np.arange(emb.shape[0] + 1), mask.dense()[ids], padding)
-    linear = model.backbone.bias + model.backbone.linear[ids].sum()
-    z = scores_from_embedded(model.backbone, emb[None], linear)
+    z = _forward(model.backbone, np.asarray(instance.feature_ids), emb[None])[0]
     return float(clamp_probability(expit(z))[0])
 
 
@@ -266,9 +242,8 @@ def _batch_gradients(values, backbone, ids, labels, scale=None):
     if scale is None:
         scale = 1.0 / B
     emb = values[ids]
-    linear = backbone.bias + backbone.linear[ids].sum(axis=1)
     acts = []
-    z, total = _forward(backbone, emb, linear, acts)
+    z, total = _forward(backbone, ids, emb, acts)
 
     p = expit(z)
     y = labels.astype(np.float64)
@@ -366,16 +341,14 @@ def train(
             grad_list = [grads.embedding, grads.linear, np.array([grads.bias])]
             grad_list.extend(g for pair in grads.layers for g in pair)
             step += 1
-            correct1 = 1.0 - config.beta1 ** step
-            correct2 = 1.0 - config.beta2 ** step
+            correct1 = 1.0 - BETA1 ** step
+            correct2 = 1.0 - BETA2 ** step
             for p, g, m1, m2 in zip(params, grad_list, moment1, moment2):
-                m1 *= config.beta1
-                m1 += (1.0 - config.beta1) * g
-                m2 *= config.beta2
-                m2 += (1.0 - config.beta2) * (g * g)
-                p -= config.learning_rate * (m1 / correct1) / (
-                    np.sqrt(m2 / correct2) + config.adam_eps
-                )
+                m1 *= BETA1
+                m1 += (1.0 - BETA1) * g
+                m2 *= BETA2
+                m2 += (1.0 - BETA2) * (g * g)
+                p -= config.learning_rate * (m1 / correct1) / (np.sqrt(m2 / correct2) + ADAM_EPS)
             backbone.bias = float(params[2][0])
             epoch_loss += loss * take.shape[0]
         if log_fn is not None:
@@ -394,12 +367,15 @@ def write_head(w: ser.ByteWriter, kind: str, offsets: np.ndarray, n: int, d: int
 
 
 def read_head(r: ser.ByteReader) -> tuple:
-    """Inverse of write_head: (kind, offsets, n, d)."""
+    """Inverse of write_head: (kind, offsets, n, d). The field offsets must
+    start at 0, strictly increase and end at n."""
     tag = r.u8()
     if tag not in _TAG_BACKBONES:
         raise ser.CheckpointError(f"file does not hold a model (kind tag {tag})")
     m, n, d = r.u64(), r.u64(), r.u64()
     offsets = np.frombuffer(r.take(8 * (m + 1)), "<u8").astype(np.int64)
+    if offsets[0] != 0 or (np.diff(offsets) <= 0).any() or offsets[-1] != n:
+        raise ser.CheckpointError("field offsets do not split the table's rows into fields")
     return _TAG_BACKBONES[tag], offsets, n, d
 
 
@@ -415,16 +391,24 @@ def write_backbone(w: ser.ByteWriter, backbone: BackboneParams) -> None:
         w.array(b.astype("<f8"))
 
 
-def read_backbone(r: ser.ByteReader, kind: str, n: int) -> BackboneParams:
-    """Inverse of write_backbone for a table of n features."""
+def read_backbone(r: ser.ByteReader, head: tuple) -> BackboneParams:
+    """Inverse of write_backbone for the table a read_head result describes.
+    An fm has no MLP layers; a deepfm's layer widths chain from m * d to 1."""
+    kind, offsets, n, d = head
     linear = np.frombuffer(r.take(8 * n), "<f8").copy()
     bias = r.f64()
     layers = []
+    width = (offsets.shape[0] - 1) * d
     for _ in range(r.u8()):
         rows, cols = r.u64(), r.u64()
+        if kind == FM or cols != width:
+            raise ser.CheckpointError("MLP layer shapes do not fit the backbone")
         W = np.frombuffer(r.take(8 * rows * cols), "<f8").reshape(rows, cols).copy()
         b = np.frombuffer(r.take(8 * rows), "<f8").copy()
         layers.append((W, b))
+        width = rows
+    if kind == DEEPFM and (not layers or width != 1):
+        raise ser.CheckpointError("MLP layer shapes do not fit the backbone")
     return BackboneParams(kind, bias, linear, layers)
 
 
@@ -441,9 +425,9 @@ def model_to_bytes(model: Model) -> bytes:
 
 def model_from_bytes(data: bytes, vocab: Vocabulary | None = None) -> Model:
     r = ser.unseal(data)
-    kind, offsets, n, d = read_head(r)
+    head = _, offsets, n, d = read_head(r)
     values = np.frombuffer(r.take(8 * n * d), "<f8").reshape(n, d).copy()
-    backbone = read_backbone(r, kind, n)
+    backbone = read_backbone(r, head)
     codebook = None
     for tag, payload in r.sections():
         if tag == ser.SECTION_CODEBOOK:

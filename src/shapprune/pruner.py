@@ -116,12 +116,12 @@ class PrunedModel:
     def from_bytes(cls, data: bytes) -> "PrunedModel":
         r = ser.unseal(data)
         ser.expect_kind(r, ser.TAG_PRUNED, "a pruned model")
-        kind, offsets, n, d = read_head(r)
+        head = _, offsets, n, d = read_head(r)
         code = r.u8()
         if code not in _CODE_PADS:
             raise ser.CheckpointError(f"unknown padding code {code}")
         sparsity = r.f64()
-        backbone = read_backbone(r, kind, n)
+        backbone = read_backbone(r, head)
         csr = codebook = None
         for tag, payload in r.sections():
             if tag == ser.SECTION_CSR:
@@ -130,6 +130,8 @@ class PrunedModel:
                 codebook = codebook_from_section(payload, offsets.shape[0] - 1, d)
         if csr is None:
             raise ser.CheckpointError("pruned model is missing its CSR section")
+        if _CODE_PADS[code] == CODEBOOK and codebook is None:
+            raise ser.CheckpointError("codebook padding requires a codebook section")
         return cls(*csr, offsets, d, backbone, _CODE_PADS[code], codebook, sparsity)
 
     def save(self, path) -> None:

@@ -16,9 +16,11 @@ one writer and one reader each (model.write_head/read_head and
 model.write_backbone/read_backbone):
 
     head       backbone tag u8 (1 fm, 2 deepfm), field count m u64,
-               features n u64, dim d u64, field offsets (m+1) u64
+               features n u64, dim d u64, field offsets (m+1) u64 that
+               start at 0, strictly increase and end at n
     backbone   linear weights n f64, bias f64, layer count u8, then per
-               layer: rows u64, cols u64, W rows*cols f64, b rows f64
+               layer: rows u64, cols u64, W rows*cols f64, b rows f64;
+               fm has no layers, deepfm's widths chain from m*d to 1
 
     model      head (its backbone tag is the kind tag), table n*d f64,
                backbone, sections: codebook

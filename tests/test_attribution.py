@@ -36,15 +36,6 @@ class TestRemovalLossDelta:
             expected, abs=1e-15
         )
 
-    def test_explicit_base_loss_is_honored(self, hand_model):
-        inst = sp.Instance(1, np.array([0, 1], dtype=np.int64))
-        removal = np.zeros((2, 1), bool)
-        removal[1, 0] = True
-        free = sp.removal_loss_delta(hand_model, inst, removal)
-        pinned = sp.removal_loss_delta(hand_model, inst, removal, base_loss=0.0)
-        base = math.log1p(math.exp(-6.0))
-        assert pinned - free == pytest.approx(base, abs=1e-15)
-
 
 class TestExactLocal:
     @pytest.mark.parametrize("kind", [sp.FM, sp.DEEPFM])

@@ -1,10 +1,14 @@
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
 import shapprune as sp
+from shapprune import serialization as ser
 from shapprune.cli import main
+from shapprune.serialization import CheckpointError
+from shapprune.model import write_backbone, write_head
 
 
 def run(capsys, *argv):
@@ -178,6 +182,49 @@ class TestPipeline:
         assert np.abs(exact.values - estimate.values).mean() == pytest.approx(mae, abs=5e-7)
 
 
+    def test_train_reports_validation_metrics(self, toy_files, capsys, tmp_path):
+        code, stdout, _ = run(
+            capsys,
+            "train", "--data", toy_files["data"], "--vocab", toy_files["vocab"],
+            "--val-data", toy_files["data"], "--out", str(tmp_path / "m.shvr"),
+            "--backbone", "fm", "--dim", "2", "--epochs", "1", "--batch-size", "16",
+        )
+        assert code == 0
+        done = stdout.splitlines()[-1]
+        assert done.startswith("event=train_done ")
+        # validating on the training rows must repeat the training metrics
+        fields = dict(part.split("=") for part in done.split())
+        assert fields["val_logloss"] == fields["train_logloss"]
+        assert fields["val_auc"] == fields["train_auc"]
+
+    @pytest.mark.parametrize(
+        "extra, lines, method, forwards",
+        [
+            (("--method", "taylor"), [], sp.TAYLOR, 40),
+            (
+                ("--fraction", "0.5", "--passes", "1"),
+                ["event=subsample fraction=0.500000 rows=20"],
+                sp.SHAPLEY,
+                (9 + 1) * 20,
+            ),
+        ],
+        ids=["taylor", "fraction"],
+    )
+    def test_attribute_variants(self, toy_files, capsys, tmp_path, extra, lines, method, forwards):
+        out = str(tmp_path / "s.shvr")
+        code, stdout, _ = run(
+            capsys,
+            "attribute", "--model", toy_files["model"], "--vocab", toy_files["vocab"],
+            "--data", toy_files["data"], "--out", out, *extra,
+        )
+        assert code == 0
+        assert stdout.splitlines()[:-1] == lines
+        assert f"event=attribute method={method} " in stdout
+        scores = sp.AttributionScores.load(out)
+        assert scores.method == method
+        assert scores.forward_count == forwards
+
+
 class TestSynth:
     def test_writes_rows_and_schema(self, capsys, tmp_path):
         out = str(tmp_path / "synth.csv")
@@ -294,6 +341,29 @@ class TestConfigFile:
         assert code == 1
         assert "config line 1" in stderr
 
+    @pytest.mark.parametrize(
+        "command, line",
+        [("attribute", "method=bogus"), ("prune", "padding=mean")],
+    )
+    def test_value_outside_choices_is_a_domain_error(
+        self, toy_files, capsys, tmp_path, command, line
+    ):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# override\n{line}\n")
+        out = tmp_path / "out.shvr"
+        inputs = {
+            "attribute": ["--vocab", toy_files["vocab"], "--data", toy_files["data"]],
+            "prune": ["--scores", toy_files["scores"], "--sparsity", "0.5"],
+        }[command]
+        code, _, stderr = run(
+            capsys,
+            command, "--model", toy_files["model"], *inputs, "--out", str(out),
+            "--config", str(config),
+        )
+        assert code == 1
+        assert f"config line 2: {line.split('=')[0]} must be one of" in stderr
+        assert not out.exists()
+
     def test_missing_config_file(self, toy_files, capsys, tmp_path):
         code, _, stderr = run(
             capsys,
@@ -376,6 +446,32 @@ class TestErrorPaths:
         assert code == 1
         assert "vocabulary does not match" in stderr
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("codebook_padding_without_codebook", "codebook padding needs a codebook"),
+            ("compare_shape_mismatch", "different shapes"),
+        ],
+    )
+    def test_unusable_inputs_are_exit_one(self, toy_files, capsys, tmp_path, case, message):
+        if case == "codebook_padding_without_codebook":
+            argv = [
+                "prune", "--model", toy_files["model"], "--scores", toy_files["scores"],
+                "--sparsity", "0.5", "--padding", "codebook",
+                "--out", str(tmp_path / "p.shvr"),
+            ]
+        else:
+            other = str(tmp_path / "other.shvr")
+            sp.AttributionScores(np.zeros((2, 2)), sp.MAGNITUDE).save(other)
+            argv = [
+                "oracle", "--model", toy_files["model"], "--vocab", toy_files["vocab"],
+                "--data", toy_files["data"], "--out", str(tmp_path / "exact.shvr"),
+                "--compare", other,
+            ]
+        code, _, stderr = run(capsys, *argv)
+        assert code == 1
+        assert message in stderr
+
     def test_no_subcommand_is_exit_two(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
@@ -383,3 +479,89 @@ class TestErrorPaths:
     def test_unknown_flag_is_exit_two(self, capsys, tmp_path):
         code, _, _ = run(capsys, "synth", "--out", str(tmp_path / "x.csv"), "--zipf", "2")
         assert code == 2
+
+
+def _model_file(kind=sp.DEEPFM, offsets=(0, 2, 4, 7), layers=((3, 9), (3, 3), (1, 3))):
+    """CRC-valid dense checkpoint in the toy layout (n = 7, d = 3, m = 3),
+    every parameter zero, with MLP layers of the given (rows, cols) shapes."""
+    w = ser.ByteWriter()
+    write_head(w, kind, np.array(offsets), 7, 3)
+    w.array(np.zeros(7 * 3, "<f8"))
+    mlp = [(np.zeros(shape), np.zeros(shape[0])) for shape in layers]
+    write_backbone(w, sp.BackboneParams(kind, 0.0, np.zeros(7), mlp))
+    return ser.seal(w.getvalue())
+
+
+def _codebook_padding_without_codebook(files):
+    pruned = sp.load_pruned(files["pruned"])
+    pruned.padding = sp.CODEBOOK  # written as padding code 1, no codebook section
+    return pruned.to_bytes()
+
+
+def _scores_file(files, n=7, nan=False):
+    """The toy score file, optionally with one NaN score or a header that
+    claims n rows while the section still holds 7 * 3 values."""
+    scores = sp.AttributionScores.load(files["scores"])
+    if nan:
+        scores.values[0, 0] = np.nan
+    body = scores.to_bytes()[len(ser.MAGIC) + 4 : -4]
+    return ser.seal(body[:1] + struct.pack("<Q", n) + body[9:])
+
+
+MALFORMED = {
+    "deepfm_without_layers": (sp.load_model, lambda files: _model_file(layers=()), "MLP layer"),
+    "fm_with_layers": (sp.load_model, lambda files: _model_file(kind=sp.FM), "MLP layer"),
+    "first_layer_not_m_times_d": (
+        sp.load_model, lambda files: _model_file(layers=((3, 8), (1, 3))), "MLP layer"
+    ),
+    "layer_widths_do_not_chain": (
+        sp.load_model, lambda files: _model_file(layers=((3, 9), (1, 2))), "MLP layer"
+    ),
+    "output_wider_than_one": (
+        sp.load_model, lambda files: _model_file(layers=((3, 9), (2, 3))), "MLP layer"
+    ),
+    "offsets_past_n": (
+        sp.load_model, lambda files: _model_file(offsets=(0, 2, 4, 9)), "field offsets"
+    ),
+    "offsets_not_increasing": (
+        sp.load_model, lambda files: _model_file(offsets=(0, 4, 2, 7)), "field offsets"
+    ),
+    "codebook_padding_without_codebook": (
+        sp.load_pruned, _codebook_padding_without_codebook, "codebook section"
+    ),
+    "scores_section_length": (
+        sp.AttributionScores.load, lambda files: _scores_file(files, n=8), "n \\* d values"
+    ),
+    "non_finite_score": (
+        sp.AttributionScores.load, lambda files: _scores_file(files, nan=True), "non-finite"
+    ),
+}
+
+
+class TestMalformedArtifacts:
+    """Files the writers never produce but whose CRC is valid: every decoder
+    must refuse them with a CheckpointError, and the CLI must exit 1."""
+
+    def test_crafting_helpers_write_loadable_files(self, toy_files, tmp_path):
+        path = tmp_path / "good.shvr"
+        path.write_bytes(_model_file())
+        sp.load_model(path)
+        path.write_bytes(_scores_file(toy_files))
+        sp.AttributionScores.load(path)
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_crafted_file_is_a_checkpoint_error(self, case, toy_files, capsys, tmp_path):
+        load, craft, message = MALFORMED[case]
+        path = tmp_path / "bad.shvr"
+        path.write_bytes(craft(toy_files))
+        if load == sp.AttributionScores.load:
+            argv = ["prune", "--model", toy_files["model"], "--scores", str(path),
+                    "--sparsity", "0.5", "--out", str(tmp_path / "p.shvr")]
+        else:
+            argv = ["eval", "--model", str(path), "--vocab", toy_files["vocab"],
+                    "--data", toy_files["data"]]
+        with pytest.raises(CheckpointError, match=message):
+            load(path)
+        code, _, stderr = run(capsys, *argv)
+        assert code == 1
+        assert "error:" in stderr

@@ -265,64 +265,6 @@ class TestTraining:
             sp.train(ds, config, mask=bad, padding=sp.ZERO)
 
 
-class TestMaskedForward:
-    def test_empty_mask_is_bit_exact(self, toy_model, toy_corpus):
-        _, _, _, ds = toy_corpus
-        empty = sp.PruneMask.from_dense(np.zeros(toy_model.embedding.values.shape, bool))
-        for inst in ds:
-            assert sp.forward(toy_model, inst, mask=empty, padding=sp.ZERO) == sp.forward(
-                toy_model, inst
-            )
-
-    def test_zero_padding_matches_manual_zeroing(self, toy_model, toy_corpus):
-        _, _, _, ds = toy_corpus
-        rng = np.random.default_rng(0)
-        flags = rng.random(toy_model.embedding.values.shape) < 0.4
-        mask = sp.PruneMask.from_dense(flags)
-        manual = sp.Model(
-            sp.EmbeddingTable(
-                np.where(flags, 0.0, toy_model.embedding.values),
-                toy_model.embedding.offsets,
-            ),
-            toy_model.backbone,
-            toy_model.vocab,
-        )
-        inst = ds.instance(0)
-        assert sp.forward(toy_model, inst, mask=mask, padding=sp.ZERO) == pytest.approx(
-            sp.forward(manual, inst), abs=1e-15
-        )
-
-    def test_codebook_padding_substitutes_field_rows(self, toy_model, toy_corpus):
-        _, _, vocab, ds = toy_corpus
-        codebook = sp.compute_codebook(toy_model, ds)
-        flags = np.ones(toy_model.embedding.values.shape, bool)
-        mask = sp.PruneMask.from_dense(flags)
-        manual = sp.Model(
-            sp.EmbeddingTable(
-                codebook.values[vocab.feature_fields].copy(),
-                toy_model.embedding.offsets,
-            ),
-            toy_model.backbone,
-            toy_model.vocab,
-        )
-        inst = ds.instance(3)
-        assert sp.forward(toy_model, inst, mask=mask, padding=codebook) == pytest.approx(
-            sp.forward(manual, inst), abs=1e-15
-        )
-
-    def test_mask_requires_padding(self, toy_model, toy_corpus):
-        _, _, _, ds = toy_corpus
-        mask = sp.PruneMask.from_dense(np.zeros(toy_model.embedding.values.shape, bool))
-        with pytest.raises(ValueError, match="padding mode required"):
-            sp.forward(toy_model, ds.instance(0), mask=mask)
-
-    def test_unknown_padding_rejected(self, toy_model, toy_corpus):
-        _, _, _, ds = toy_corpus
-        mask = sp.PruneMask.from_dense(np.ones(toy_model.embedding.values.shape, bool))
-        with pytest.raises(ValueError, match="padding"):
-            sp.forward(toy_model, ds.instance(0), mask=mask, padding="mean")
-
-
 class TestPruneMask:
     def test_dense_round_trip(self):
         rng = np.random.default_rng(4)
