@@ -9,12 +9,19 @@ coordinates that were active and averaged over the dataset, so a table entry
 earns credit exactly when its feature participates. Features that never occur
 in the dataset keep a bitwise-zero row.
 
-The sampling estimator walks one uniformly random removal order per instance
-per pass and accumulates marginal loss increases along the walk. Each visit
-draws its permutation from a counter-based generator keyed by (seed, pass,
-instance index), so results do not depend on thread count or visit order, and
-every visit costs exactly m * d + 1 forward evaluations, tallied in the
-returned metadata.
+The sampling estimator (Castro et al., 2009) walks one uniformly random
+removal order per instance per pass and charges each coordinate the loss
+increase its removal causes. Each visit draws its permutation from a
+counter-based generator keyed by (seed, pass, instance index), so results do
+not depend on thread count or visit order. A walk is not re-scored from
+scratch at each step: removing value e from embedding column c lowers the
+pairwise term by e * (S_c - e), S_c being that column's sum over the
+coordinates still present, and a DeepFM's first layer is linear in the flat
+embedding, so its pre-activations drop by the removed value times its weight
+column. Only the later MLP layers run per step, and the visits of a block
+are walked together in sub-batches. Every visit evaluates the payoff at its
+m * d + 1 steps; the returned metadata's forward_count tallies these payoff
+evaluations.
 
 An exact enumeration oracle covers small instances (m * d <= 22), along with
 two cheap baselines: absolute weight magnitude, and a first-order estimate
@@ -32,7 +39,18 @@ from scipy.special import expit
 
 from . import serialization as ser
 from .data import Dataset, Instance
-from .model import Model, _batch_gradients, _forward, embed_lookup, log_loss
+from .model import (
+    DEEPFM,
+    Model,
+    NonFiniteError,
+    _batch_gradients,
+    _forward,
+    _linear_term,
+    _mlp_tail,
+    _pairwise,
+    embed_lookup,
+    log_loss,
+)
 
 SHAPLEY = "shapley"
 MAGNITUDE = "magnitude"
@@ -49,6 +67,10 @@ EXACT_PLAYER_LIMIT = 22
 # workers, which is what makes the estimate bit-identical for any thread
 # count.
 _BLOCK_VISITS = 1024
+# Walk rows (one payoff each) computed together: a block's visits go through
+# _walk_losses in sub-batches of max(1, _WALK_ROWS // (md + 1)), which keeps
+# the working set near 2 MB at md = 624.
+_WALK_ROWS = 4096
 
 
 @dataclass
@@ -119,12 +141,11 @@ class AttributionScores:
             return cls.from_bytes(fh.read())
 
 
-def _removal_losses(model: Model, ids: np.ndarray, label, removed: np.ndarray, out=None):
+def _removal_losses(model: Model, ids: np.ndarray, label, removed: np.ndarray):
     """The game's payoff: one instance's log loss for each removal set of a
     bool (K, m, d) stack, True where that (field, column) coordinate of the
-    active rows is zeroed. out, if given, is a float (K, m, d) buffer that
-    receives the zeroed embedding stack."""
-    emb = np.multiply(model.embedding.values[ids], ~removed, out=out)
+    active rows is zeroed."""
+    emb = model.embedding.values[ids] * ~removed
     return log_loss(expit(_forward(model.backbone, ids, emb)[0]), label)
 
 
@@ -151,32 +172,84 @@ def _visit_blocks(total_visits: int):
         yield start, min(start + _BLOCK_VISITS, total_visits)
 
 
+def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.ndarray, work):
+    """The payoff at every step of B removal walks, shape (B, md + 1): entry
+    (b, k) is the loss of instance (ids[b], labels[b]) with the first k
+    coordinates of perms[b] zeroed, a coordinate (j, c) being flat index
+    j * d + c. Step 0 is the untouched instance and step md the fully
+    removed one; both are computed directly, so the walk's total does not
+    depend on rounding along the way. work is a DeepFM's scratch buffer of at least
+    (md + 1) * B rows of first-layer width (None for an FM)."""
+    backbone = model.backbone
+    emb = model.embedding.values[ids]
+    B, m, d = emb.shape
+    md = m * d
+    rows = np.arange(B)[:, None]
+    gone = emb.reshape(B, md)[rows, perms]  # value removed at each step
+    step = np.empty((B, md), np.int64)
+    step[rows, perms] = np.arange(md)
+    # Removing value e from column c lowers the pairwise term by e * (S - e),
+    # S being the column's sum over the coordinates still present. Sorting
+    # each column's fields by removal step makes S - e its total minus an
+    # inclusive cumulative sum.
+    pair0, total = _pairwise(emb)
+    step_by_col = step.reshape(B, m, d).transpose(0, 2, 1)
+    order = np.argsort(step_by_col, axis=-1)
+    values = np.take_along_axis(emb.transpose(0, 2, 1), order, axis=-1)
+    drop = np.empty((B, md))
+    drop[rows, np.take_along_axis(step_by_col, order, axis=-1).reshape(B, md)] = (
+        values * (total[:, :, None] - np.cumsum(values, axis=-1))
+    ).reshape(B, md)
+    pair = np.empty((B, md + 1))
+    pair[:, 0] = pair0
+    np.subtract(pair0[:, None], np.cumsum(drop, axis=1), out=pair[:, 1:])
+    pair[:, md] = 0.0
+    z = _linear_term(backbone, ids)[:, None] + pair
+    if backbone.kind == DEEPFM:
+        # The first layer is linear in the flat embedding: each removal
+        # subtracts the removed value times its weight column. Rows are
+        # step-major here, so every step's pre-activations are contiguous.
+        W, b = backbone.layers[0]
+        flat_pre = work[: (md + 1) * B]
+        pre = flat_pre.reshape(md + 1, B, -1)
+        pre[0] = emb.reshape(B, md) @ W.T + b
+        shift = pre[1:]
+        np.take(np.ascontiguousarray(W.T), perms.T, axis=0, out=shift)
+        np.multiply(shift, gone.T[:, :, None], out=shift)
+        np.cumsum(shift, axis=0, out=shift)
+        np.subtract(pre[0], shift, out=shift)
+        pre[md] = b
+        z += _mlp_tail(backbone.layers, flat_pre).reshape(md + 1, B).T
+    if not np.isfinite(z).all():
+        raise NonFiniteError("non-finite score along a removal walk")
+    return log_loss(expit(z), labels[:, None])
+
+
 def _run_block(model: Model, dataset: Dataset, seed: int, span) -> np.ndarray:
     n, d = model.embedding.values.shape
-    m = dataset.ids.shape[1]
-    md = m * d
+    md = dataset.ids.shape[1] * d
     count = len(dataset)
     phi = np.zeros((n, d))
-    thresholds = np.arange(-1, md)[:, None, None]
-    # One stack for the whole block: freeing it after every visit lets the
-    # allocator hand its pages back and fault them in again on the next one,
-    # which halved throughput at md = 624.
-    stack = np.empty((md + 1, m, d))
-    for visit in range(*span):
-        pass_idx, inst_idx = divmod(visit, count)
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, pass_idx, inst_idx]))
-        perm = rng.permutation(md)
-        ids = dataset.ids[inst_idx]
-        # position[j, c] = step at which that coordinate is removed; row k of
-        # the stack has every coordinate with position < k already removed,
-        # so row 0 is the untouched instance and row md the fully removed one.
-        position = np.empty(md, np.int64)
-        position[perm] = np.arange(md)
-        removed = position.reshape(m, d)[None] <= thresholds
-        losses = _removal_losses(model, ids, dataset.labels[inst_idx], removed, stack)
-        # ids of one instance are distinct (one per field block), so each
-        # active coordinate receives exactly one addition
-        phi[ids] += np.diff(losses)[position].reshape(m, d)
+    batch = max(1, _WALK_ROWS // (md + 1))
+    # One scratch buffer for the whole block: allocating it per sub-batch
+    # lets the allocator hand its pages back and fault them in again, which
+    # halved throughput at md = 624.
+    work = None
+    if model.backbone.kind == DEEPFM:
+        work = np.empty(((md + 1) * batch, model.backbone.layers[0][0].shape[0]))
+    for first in range(span[0], span[1], batch):
+        pass_idx, inst = np.divmod(np.arange(first, min(first + batch, span[1])), count)
+        perms = np.stack([
+            np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, p, i])).permutation(md)
+            for p, i in zip(pass_idx, inst)
+        ])
+        ids = dataset.ids[inst]
+        losses = _walk_losses(model, ids, dataset.labels[inst], perms, work)
+        # the marginal of step k belongs to the coordinate removed at step k
+        local = np.empty(perms.shape)
+        local[np.arange(inst.shape[0])[:, None], perms] = np.diff(losses, axis=1)
+        # adds visit by visit, in visit order
+        np.add.at(phi, ids, local.reshape(ids.shape + (d,)))
     return phi
 
 

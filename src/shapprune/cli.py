@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -60,7 +61,7 @@ from .pruner import (
     prune_curve,
     write_curve_csv,
 )
-from .model import model_from_bytes
+from .model import check_vocabulary, model_from_bytes
 from .serialization import CheckpointError, unseal, TAG_PRUNED, MODEL_TAGS
 from .synth import SyntheticConfig, synthetic_rows, synthetic_schema
 
@@ -101,7 +102,9 @@ def _detect_and_load(path, vocab=None):
     reader = unseal(data)
     tag = reader.u8()
     if tag == TAG_PRUNED:
-        return PrunedModel.from_bytes(data)
+        pruned = PrunedModel.from_bytes(data)
+        check_vocabulary(vocab, pruned.n, pruned.offsets)
+        return pruned
     if tag in MODEL_TAGS:
         return model_from_bytes(data, vocab)
     raise CheckpointError(f"file holds neither a model nor a pruned model (kind tag {tag})")
@@ -149,6 +152,7 @@ def cmd_train(args) -> int:
     padding = None
     if args.mask:
         pruned = load_pruned(args.mask)
+        check_vocabulary(vocab, pruned.n, pruned.offsets)
         mask = pruned.prune_mask()
         padding = pruned.codebook if pruned.padding == CODEBOOK else ZERO
         init = Model(
@@ -193,6 +197,7 @@ def cmd_codebook(args) -> int:
 def cmd_attribute(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     model = load_model(args.model, vocab)
+    timing = {}
     if args.method == MAGNITUDE:
         scores = score_magnitude(model)
     else:
@@ -204,8 +209,15 @@ def cmd_attribute(args) -> int:
             dataset = dataset.subsample(args.fraction, args.seed)
             log(event="subsample", fraction=args.fraction, rows=len(dataset))
         if args.method == SHAPLEY:
+            start = time.perf_counter()
             scores = estimate_shapley(
                 model, dataset, passes=args.passes, seed=args.seed, threads=args.threads
+            )
+            seconds = time.perf_counter() - start
+            timing = dict(
+                seconds=seconds,
+                visits_per_s=scores.passes * len(dataset) / seconds,
+                forwards_per_s=scores.forward_count / seconds,
             )
         else:
             scores = score_taylor(model, dataset)
@@ -216,6 +228,7 @@ def cmd_attribute(args) -> int:
         passes=scores.passes,
         forwards=scores.forward_count,
         fingerprint=scores.dataset_fingerprint,
+        **timing,
         out=args.out,
     )
     return 0

@@ -142,29 +142,52 @@ def init_model(vocab: Vocabulary, config: TrainConfig) -> Model:
     return Model(EmbeddingTable(values, vocab.offsets.copy()), backbone, vocab)
 
 
+def _linear_term(backbone: BackboneParams, ids: np.ndarray):
+    """bias + the linear weights of the active ids, summed over the last
+    axis: a float for (m,) ids, (B,) for (B, m)."""
+    return backbone.bias + backbone.linear[ids].sum(axis=-1)
+
+
+def _pairwise(emb: np.ndarray):
+    """Pairwise interaction term (B,) of a (B, m, d) embedding stack, and
+    its column sums (B, d)."""
+    total = emb.sum(axis=1)
+    return 0.5 * ((total * total).sum(axis=-1) - (emb * emb).sum(axis=(-2, -1))), total
+
+
+def _mlp_tail(layers: list, pre: np.ndarray, h=None, acts=None) -> np.ndarray:
+    """MLP output (B,) from the first layer's pre-activation pre (B, h1):
+    ReLU and each later layer in turn; a single-layer head is linear, so its
+    pre-activation is the output. When acts is a list, each hidden layer
+    appends its (input, pre-activation) pair, starting from the first
+    layer's input h, and the output layer appends (input, None). Each
+    hidden pre-activation is overwritten by its ReLU, which keeps the sign
+    pattern (pre > 0) that the backward pass reads."""
+    for W, b in layers[1:]:
+        if acts is not None:
+            acts.append((h, pre))
+        h = np.maximum(pre, 0.0, out=pre)
+        pre = h @ W.T
+        pre += b
+    if acts is not None:
+        acts.append((h, None))
+    return pre[:, 0]
+
+
 def _forward(backbone: BackboneParams, ids: np.ndarray, emb: np.ndarray, acts=None):
     """Pre-sigmoid scores of a (B, m, d) embedding stack and its column sums
     (B, d). ids are the active feature ids: (B, m), one row per stack entry,
     or (m,), shared by every entry of a one-instance stack; they select the
-    linear weights. When acts is a list, each hidden layer appends its
-    (input, pre-activation) pair and the output layer appends (input, None),
-    which is what the backward pass reads. Raises NonFiniteError naming the
+    linear weights. When acts is a list, the MLP records the activations the
+    backward pass reads (see _mlp_tail). Raises NonFiniteError naming the
     stage that went non-finite."""
-    linear_term = backbone.bias + backbone.linear[ids].sum(axis=-1)
-    total = emb.sum(axis=1)
-    pair = 0.5 * ((total * total).sum(axis=-1) - (emb * emb).sum(axis=(-2, -1)))
+    linear_term = _linear_term(backbone, ids)
+    pair, total = _pairwise(emb)
     z = linear_term + pair
     if backbone.kind == DEEPFM:
         h = emb.reshape(emb.shape[0], -1)
-        for W, b in backbone.layers[:-1]:
-            pre = h @ W.T + b
-            if acts is not None:
-                acts.append((h, pre))
-            h = np.maximum(pre, 0.0)
-        W, b = backbone.layers[-1]
-        if acts is not None:
-            acts.append((h, None))
-        z = z + (h @ W.T + b)[:, 0]
+        W, b = backbone.layers[0]
+        z = z + _mlp_tail(backbone.layers, h @ W.T + b, h, acts)
     if not np.isfinite(z).all():
         for stage, part in (
             ("embedding", emb),
@@ -423,6 +446,13 @@ def model_to_bytes(model: Model) -> bytes:
     return ser.seal(w.getvalue())
 
 
+def check_vocabulary(vocab: Vocabulary | None, n: int, offsets: np.ndarray) -> None:
+    """Raise CheckpointError unless vocab (if given) has the n rows and the
+    field offsets of a loaded checkpoint's table."""
+    if vocab is not None and (vocab.n != n or not np.array_equal(vocab.offsets, offsets)):
+        raise ser.CheckpointError("vocabulary does not match this checkpoint")
+
+
 def model_from_bytes(data: bytes, vocab: Vocabulary | None = None) -> Model:
     r = ser.unseal(data)
     head = _, offsets, n, d = read_head(r)
@@ -432,8 +462,7 @@ def model_from_bytes(data: bytes, vocab: Vocabulary | None = None) -> Model:
     for tag, payload in r.sections():
         if tag == ser.SECTION_CODEBOOK:
             codebook = codebook_from_section(payload, offsets.shape[0] - 1, d)
-    if vocab is not None and (vocab.n != n or not np.array_equal(vocab.offsets, offsets)):
-        raise ser.CheckpointError("vocabulary does not match this checkpoint")
+    check_vocabulary(vocab, n, offsets)
     return Model(EmbeddingTable(values, offsets), backbone, vocab, codebook)
 
 

@@ -169,6 +169,35 @@ def table_game_exact_shapley(model, instance, dim, n_rows):
     return phi
 
 
+def stacked_walk_shapley(model, dataset, passes, seed):
+    """Sampled Shapley scores by re-scoring every step of every walk.
+
+    Visit k = pass * len(dataset) + instance draws the same permutation as
+    estimate_shapley, then scores the full (md + 1, m, d) stack of
+    progressively zeroed copies through the game's payoff function and
+    charges each removed coordinate its loss difference.
+    """
+    from shapprune.attribution import _removal_losses
+
+    n, d = model.embedding.values.shape
+    m = dataset.ids.shape[1]
+    md = m * d
+    count = len(dataset)
+    phi = np.zeros((n, d))
+    thresholds = np.arange(-1, md)[:, None, None]
+    for visit in range(passes * count):
+        pass_idx, inst_idx = divmod(visit, count)
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, pass_idx, inst_idx]))
+        perm = rng.permutation(md)
+        ids = dataset.ids[inst_idx]
+        position = np.empty(md, np.int64)
+        position[perm] = np.arange(md)
+        removed = position.reshape(m, d)[None] <= thresholds
+        losses = _removal_losses(model, ids, dataset.labels[inst_idx], removed)
+        phi[ids] += np.diff(losses)[position].reshape(m, d)
+    return phi / (passes * count)
+
+
 def pairwise_auc_reference(labels, scores):
     """AUC as the fraction of correctly ordered positive/negative pairs."""
     labels = np.asarray(labels)

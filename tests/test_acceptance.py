@@ -289,6 +289,7 @@ class TestAcceptance:
                     row.append(sp.evaluate(pruned, test_ds).logloss)
                 losses[name].append(row)
         mean = {name: np.mean(rows, axis=0) for name, rows in losses.items()}
+        dense = np.mean([sp.evaluate(run["model"], test_ds).logloss for run in synth_env["runs"]])
         beats_random = bool(np.all(mean["shapley"] < mean["random"]))
         ties_or_beats_magnitude = int(np.sum(mean["shapley"] <= mean["magnitude"]))
         ok = beats_random and ties_or_beats_magnitude >= 2
@@ -303,7 +304,7 @@ class TestAcceptance:
             ok,
             f"shapley_below_random_at_all_t={beats_random}, "
             f"shapley_at_or_below_magnitude={ties_or_beats_magnitude}/3 (need >= 2), "
-            f"5-seed means over 10k held-out rows: {detail}",
+            f"5-seed means over 10k held-out rows: dense={dense:.4f}, {detail}",
         )
 
     def test_09_gradient_correctness(self, criterion):

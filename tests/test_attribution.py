@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import shapprune as sp
+from shapprune import attribution
 from shapprune.serialization import CheckpointError
 
 from helpers import (
     exact_local_shapley_reference,
     permutation_shapley_reference,
+    stacked_walk_shapley,
     tiny_random_model,
 )
 
@@ -194,6 +196,33 @@ class TestEstimator:
         other = sp.encode_rows(rows, vocab)
         with pytest.raises(ValueError, match="do not share a vocabulary layout"):
             sp.estimate_shapley(toy_model, other)
+
+
+class TestIncrementalWalk:
+    @pytest.mark.parametrize(
+        "kind, hidden",
+        [(sp.FM, ()), (sp.DEEPFM, (4,)), (sp.DEEPFM, (4, 3)), (sp.DEEPFM, (4, 3, 2))],
+        ids=["fm", "deepfm-1", "deepfm-2", "deepfm-3"],
+    )
+    @pytest.mark.parametrize(
+        "walk_rows, block_visits",
+        [(None, None), (6, None), (21, 16)],
+        ids=["one-sub-batch", "rows-below-md-plus-1", "partial-last-sub-batch"],
+    )
+    def test_matches_stacked_walk(self, monkeypatch, kind, hidden, walk_rows, block_visits):
+        # md = 3 * 2 = 6. walk_rows 6 < md + 1 leaves one visit per
+        # sub-batch; 21 rows make sub-batches of 3 visits, so each 16-visit
+        # block and the last 8-visit one end on a partial sub-batch.
+        model, ids, labels = tiny_random_model(11, kind, n_fields=3, field_size=3, dim=2, hidden=hidden)
+        ds = sp.dataset_from_encoded(ids, labels, model.vocab)
+        if walk_rows is not None:
+            monkeypatch.setattr(attribution, "_WALK_ROWS", walk_rows)
+        if block_visits is not None:
+            monkeypatch.setattr(attribution, "_BLOCK_VISITS", block_visits)
+        scores = sp.estimate_shapley(model, ds, passes=5, seed=3)
+        reference = stacked_walk_shapley(model, ds, passes=5, seed=3)
+        assert np.abs(scores.values - reference).max() <= 1e-12
+        assert scores.forward_count == (6 + 1) * len(ds) * 5
 
 
 class TestBaselines:

@@ -220,6 +220,9 @@ class TestPipeline:
         assert code == 0
         assert stdout.splitlines()[:-1] == lines
         assert f"event=attribute method={method} " in stdout
+        keys = {pair.split("=")[0] for pair in stdout.splitlines()[-1].split()}
+        timing = {"seconds", "visits_per_s", "forwards_per_s"}
+        assert timing <= keys if method == sp.SHAPLEY else not timing & keys
         scores = sp.AttributionScores.load(out)
         assert scores.method == method
         assert scores.forward_count == forwards
@@ -445,6 +448,55 @@ class TestErrorPaths:
         )
         assert code == 1
         assert "vocabulary does not match" in stderr
+
+    @pytest.mark.parametrize("case", ["more_tokens", "same_n_other_offsets", "finetune"])
+    def test_pruned_file_checks_the_vocabulary(self, toy_files, capsys, tmp_path, case):
+        if case == "more_tokens":
+            # a pruned file built over a 3 x 5-token vocabulary, evaluated
+            # with a 3 x 40-token vocabulary and its data
+            for name, tokens in (("small", "5"), ("large", "40")):
+                assert main([
+                    "synth", "--fields", "3", "--tokens-per-field", tokens, "--rows", "300",
+                    "--seed", "1", "--out", str(tmp_path / f"{name}.csv"),
+                    "--schema-out", str(tmp_path / f"{name}.json"),
+                ]) == 0
+                assert main([
+                    "train", "--data", str(tmp_path / f"{name}.csv"),
+                    "--schema", str(tmp_path / f"{name}.json"),
+                    "--vocab-out", str(tmp_path / f"{name}.vocab"),
+                    "--out", str(tmp_path / f"{name}.shvr"), "--dim", "2", "--epochs", "1",
+                ]) == 0
+            assert main([
+                "attribute", "--model", str(tmp_path / "small.shvr"),
+                "--vocab", str(tmp_path / "small.vocab"), "--method", "magnitude",
+                "--out", str(tmp_path / "small.scores"),
+            ]) == 0
+            assert main([
+                "prune", "--model", str(tmp_path / "small.shvr"),
+                "--scores", str(tmp_path / "small.scores"), "--sparsity", "0.5",
+                "--out", str(tmp_path / "small.pruned"),
+            ]) == 0
+            pruned, vocab, data = (
+                str(tmp_path / name) for name in ("small.pruned", "large.vocab", "large.csv")
+            )
+        else:
+            # the toy table's n = 7 rows split 3 + 2 + 2 instead of 2 + 2 + 3
+            other = sp.Vocabulary(
+                sp.FieldSchema.categorical(3), ({"a": 0, "b": 1}, {"r5": 0}, {"c": 0}), 0
+            )
+            assert other.n == 7 and list(other.offsets) != [0, 2, 4, 7]
+            vocab = str(tmp_path / "other.vocab")
+            other.save(vocab)
+            pruned, data = toy_files["pruned"], toy_files["data"]
+        capsys.readouterr()
+        if case == "finetune":
+            argv = ["train", "--data", data, "--vocab", vocab, "--mask", pruned,
+                    "--out", str(tmp_path / "tuned.shvr"), "--epochs", "1"]
+        else:
+            argv = ["eval", "--model", pruned, "--vocab", vocab, "--data", data]
+        code, _, stderr = run(capsys, *argv)
+        assert code == 1
+        assert "vocabulary does not match this checkpoint" in stderr
 
     @pytest.mark.parametrize(
         "case, message",
