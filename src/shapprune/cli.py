@@ -11,6 +11,7 @@ last line wins.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -165,7 +166,10 @@ def cmd_train(args) -> int:
     def on_epoch(epoch, loss):
         log(event="epoch", epoch=epoch, logloss=loss)
 
+    start = time.perf_counter()
     model = train(dataset, config, init=init, mask=mask, padding=padding, log_fn=on_epoch)
+    seconds = time.perf_counter() - start
+    steps = config.epochs * math.ceil(len(dataset) / config.batch_size)
     save_model(model, args.out)
     report = evaluate(model, dataset)
     summary = {"event": "train_done", "train_logloss": report.logloss, "train_auc": report.auc}
@@ -173,7 +177,7 @@ def cmd_train(args) -> int:
         val = encode_rows(read_csv_rows(args.val_data), vocab)
         val_report = evaluate(model, val)
         summary.update(val_logloss=val_report.logloss, val_auc=val_report.auc)
-    summary["out"] = args.out
+    summary.update(seconds=seconds, steps=steps, steps_per_s=steps / seconds, out=args.out)
     log(**summary)
     return 0
 
@@ -274,13 +278,17 @@ def cmd_prune(args) -> int:
 def cmd_eval(args) -> int:
     vocab, dataset = _load_inputs(args)
     target = _detect_and_load(args.model, vocab)
+    start = time.perf_counter()
     report = evaluate(target, dataset)
+    seconds = time.perf_counter() - start
     log(
         event="eval",
         logloss=report.logloss,
         auc=report.auc,
         count=report.count,
         bytes=report.storage_bytes,
+        seconds=seconds,
+        rows_per_s=report.count / seconds,
     )
     if isinstance(target, PrunedModel):
         for index, bucket in enumerate(frequency_bucket_report(target, dataset.frequencies)):

@@ -10,6 +10,15 @@ pre-sigmoid score of an instance with active ids (i_1..i_m) is
 where pairwise is the usual half-of-square-minus-sum-of-squares form, summed
 over embedding columns. Predictions are sigmoid(z) clamped away from 0 and 1.
 
+Training is mini-batch Adam. A batch touches few of the table's rows, so its
+embedding and linear gradients are computed as a block over the touched rows
+only. Each step decays both Adam moments over every parameter, adds the
+gradient terms at the touched rows alone, and moves every parameter, all in
+place in preallocated scratch buffers. Per coordinate this is the arithmetic
+of dense Adam over a full-size gradient that is zero off the touched rows, so
+the trained parameters are bit-identical to dense Adam's (see train for the
+one signed-zero exception).
+
 Everything runs in float64 and is deterministic under a fixed seed; training
 the same config twice yields byte-identical checkpoints.
 """
@@ -247,14 +256,49 @@ def log_loss(prediction, label):
 
 @dataclass
 class Gradients:
+    """Gradients of a loss with respect to every parameter. backward gives
+    every array the shape of its parameter; _batch_gradients gives the
+    embedding and linear parts only at the rows the batch touches."""
+
     embedding: np.ndarray
     linear: np.ndarray
     bias: float
     layers: list
 
 
+def _touched_rows(ids: np.ndarray, n: int):
+    """The sorted distinct rows (U,) of an id array and, for each id in
+    ravelled order, its index into them."""
+    flat = ids.ravel()
+    flag = np.zeros(n, bool)
+    flag[flat] = True
+    rows = np.flatnonzero(flag)
+    where = np.empty(n, np.intp)
+    where[rows] = np.arange(rows.shape[0])
+    return rows, where[flat]
+
+
+def _row_sums(where: np.ndarray, count: int, parts: np.ndarray) -> np.ndarray:
+    """Sums of parts (K, ...) into count rows, part k going to row where[k]:
+    shape (count, ...). Each row adds its parts in order of k starting from
+    0.0, so the result is bitwise what np.add.at into zeros gives, signed
+    zeros included; np.bincount does it several times faster."""
+    width = math.prod(parts.shape[1:])
+    bins = (where[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(bins, weights=parts.ravel(), minlength=count * width)
+    return sums.reshape((count,) + parts.shape[1:])
+
+
 def _batch_gradients(values, backbone, ids, labels, scale=None):
-    """Mean loss and summed-then-scaled gradients for one mini-batch.
+    """Mean loss, the touched rows and summed-then-scaled gradients for one
+    mini-batch: (loss, rows, Gradients).
+
+    Only the embedding and linear rows the batch touches can have a nonzero
+    gradient, so those two come back row-sparse: rows are the sorted
+    distinct ids (U,), the embedding gradient is their (U, d) block and the
+    linear gradient is (U,). Every other row's gradient is exactly 0.0, and
+    each touched row's is bitwise what np.add.at into a zero table gives
+    (see _row_sums).
 
     scale defaults to 1/B so gradients match the mean loss; pass 1.0 for a
     single instance to get that instance's own gradient. Raises
@@ -274,8 +318,8 @@ def _batch_gradients(values, backbone, ids, labels, scale=None):
     dz = scale * (p - y)
 
     grad_bias = float(dz.sum())
-    grad_linear = np.zeros_like(backbone.linear)
-    np.add.at(grad_linear, ids.ravel(), np.repeat(dz, m))
+    rows, where = _touched_rows(ids, values.shape[0])
+    grad_linear = _row_sums(where, rows.shape[0], np.repeat(dz, m))
 
     demb = dz[:, None, None] * (total[:, None, :] - emb)
 
@@ -293,9 +337,8 @@ def _batch_gradients(values, backbone, ids, labels, scale=None):
         grad_layers.reverse()
         demb = demb + dh.reshape(B, m, d)
 
-    grad_values = np.zeros_like(values)
-    np.add.at(grad_values, ids.ravel(), demb.reshape(-1, d))
-    return loss, Gradients(grad_values, grad_linear, grad_bias, grad_layers)
+    grad_block = _row_sums(where, rows.shape[0], demb.reshape(-1, d))
+    return loss, rows, Gradients(grad_block, grad_linear, grad_bias, grad_layers)
 
 
 def backward(model: Model, instance: Instance) -> Gradients:
@@ -305,10 +348,23 @@ def backward(model: Model, instance: Instance) -> Gradients:
     embed_lookup(model, instance)  # range check
     ids = np.asarray(instance.feature_ids)[None, :]
     labels = np.array([instance.label])
-    _, grads = _batch_gradients(
-        model.embedding.values, model.backbone, ids, labels, scale=1.0
-    )
-    return grads
+    values = model.embedding.values
+    _, rows, grads = _batch_gradients(values, model.backbone, ids, labels, scale=1.0)
+    embedding = np.zeros_like(values)
+    embedding[rows] = grads.embedding
+    linear = np.zeros_like(model.backbone.linear)
+    linear[rows] = grads.linear
+    return Gradients(embedding, linear, grads.bias, grads.layers)
+
+
+def _views(flat: np.ndarray, layers) -> list:
+    """(W, b) pairs shaped like layers' that are consecutive views of flat."""
+    out, start = [], 0
+    for W, b in layers:
+        stop = start + W.size
+        out.append((flat[start:stop].reshape(W.shape), flat[stop : stop + b.size]))
+        start = stop + b.size
+    return out
 
 
 def train(
@@ -320,6 +376,19 @@ def train(
     log_fn=None,
 ) -> Model:
     """Mini-batch Adam on the log loss. Deterministic for a fixed config.
+
+    Each step decays both moments of every parameter, adds the gradient
+    terms of the embedding and linear weights only at the rows the batch
+    touches (the rest have a zero gradient), and moves every parameter by
+    its bias-corrected Adam step. The arithmetic per coordinate is that of
+    dense Adam, so the trained parameters are bit-identical to it, with
+    one exception: dense Adam adds a zero gradient term to an untouched
+    row, which turns a first moment that underflowed to -0.0 into +0.0,
+    and a parameter that is itself -0.0 then ends at -0.0 there and at
+    +0.0 here. The step runs in place in two scratch buffers per updated
+    array, so it allocates nothing the size of the table. The bias and
+    the MLP are updated as one flat vector; the returned model's layers
+    are views of it.
 
     With a mask, the masked embedding coordinates are pinned to their padding
     values (zero or the codebook row) before the first step and their
@@ -338,10 +407,15 @@ def train(
         table.values = impute(table.values, table.offsets, flags, padding)
     values = table.values
 
-    params = [values, backbone.linear, np.array([backbone.bias])]
-    params.extend(p for pair in backbone.layers for p in pair)
+    # The bias and every MLP weight and bias are stepped as one flat vector,
+    # which the backbone's layers become views of: one Adam update in place
+    # of one per array, which is most of a small model's step.
+    head = np.concatenate([[backbone.bias]] + [p.ravel() for pair in backbone.layers for p in pair])
+    backbone.layers = _views(head[1:], backbone.layers)
+    params = [values, backbone.linear, head]
     moment1 = [np.zeros_like(p) for p in params]
     moment2 = [np.zeros_like(p) for p in params]
+    scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
 
     shuffle_rng = np.random.default_rng((config.seed, 1))
     step = 0
@@ -352,7 +426,7 @@ def train(
         for batch_index, start in enumerate(range(0, count, config.batch_size)):
             take = order[start : start + config.batch_size]
             try:
-                loss, grads = _batch_gradients(
+                loss, rows, grads = _batch_gradients(
                     values, backbone, dataset.ids[take], dataset.labels[take]
                 )
             except NonFiniteError:
@@ -360,19 +434,38 @@ def train(
                     f"non-finite loss at epoch {epoch} batch {batch_index}"
                 ) from None
             if flags is not None:
-                grads.embedding[flags] = 0.0
-            grad_list = [grads.embedding, grads.linear, np.array([grads.bias])]
-            grad_list.extend(g for pair in grads.layers for g in pair)
+                grads.embedding[flags[rows]] = 0.0
+            head_grad = np.concatenate(
+                [[grads.bias]] + [g.ravel() for pair in grads.layers for g in pair]
+            )
             step += 1
             correct1 = 1.0 - BETA1 ** step
             correct2 = 1.0 - BETA2 ** step
-            for p, g, m1, m2 in zip(params, grad_list, moment1, moment2):
+            for p, g, at, m1, m2, (s1, s2) in zip(
+                params, (grads.embedding, grads.linear, head_grad), (rows, rows, None),
+                moment1, moment2, scratch,
+            ):
                 m1 *= BETA1
-                m1 += (1.0 - BETA1) * g
                 m2 *= BETA2
-                m2 += (1.0 - BETA2) * (g * g)
-                p -= config.learning_rate * (m1 / correct1) / (np.sqrt(m2 / correct2) + ADAM_EPS)
-            backbone.bias = float(params[2][0])
+                if at is None:
+                    m1 += (1.0 - BETA1) * g
+                    m2 += (1.0 - BETA2) * (g * g)
+                else:
+                    # gather into scratch, add, scatter back: about half the
+                    # cost of m1[at] += ..., which gathers into a new array
+                    part = m1.take(at, 0, s1[: at.shape[0]])
+                    m1[at] = np.add(part, (1.0 - BETA1) * g, out=part)
+                    part = m2.take(at, 0, part)
+                    m2[at] = np.add(part, (1.0 - BETA2) * (g * g), out=part)
+                # p -= learning_rate * (m1 / correct1) / (sqrt(m2 / correct2) + ADAM_EPS)
+                np.divide(m1, correct1, out=s1)
+                s1 *= config.learning_rate
+                np.divide(m2, correct2, out=s2)
+                np.sqrt(s2, out=s2)
+                s2 += ADAM_EPS
+                s1 /= s2
+                p -= s1
+            backbone.bias = float(head[0])
             epoch_loss += loss * take.shape[0]
         if log_fn is not None:
             log_fn(epoch, epoch_loss / count)

@@ -198,6 +198,79 @@ def stacked_walk_shapley(model, dataset, passes, seed):
     return phi / (passes * count)
 
 
+def dense_batch_gradients(values, backbone, ids, labels):
+    """One mini-batch's loss and gradients with the embedding and linear
+    gradients scattered into zero tables of full size."""
+    from shapprune.model import Gradients, _batch_gradients
+
+    loss, rows, grads = _batch_gradients(values, backbone, ids, labels)
+    embedding = np.zeros_like(values)
+    embedding[rows] = grads.embedding
+    linear = np.zeros_like(backbone.linear)
+    linear[rows] = grads.linear
+    return loss, Gradients(embedding, linear, grads.bias, grads.layers)
+
+
+def dense_adam_train(dataset, config, init=None, mask=None, padding=None):
+    """Mini-batch Adam that updates every coordinate of every parameter,
+    one array at a time, from full-size gradients: the reference that
+    train must match bit for bit."""
+    import copy
+
+    from shapprune.codebook import impute
+    from shapprune.model import ADAM_EPS, BETA1, BETA2, NonFiniteError, init_model
+
+    model = copy.deepcopy(init) if init is not None else init_model(dataset.vocab, config)
+    table = model.embedding
+    backbone = model.backbone
+
+    flags = None
+    if mask is not None:
+        if mask.shape != table.values.shape:
+            raise ValueError("mask shape does not match the embedding table")
+        flags = mask.dense()
+        table.values = impute(table.values, table.offsets, flags, padding)
+    values = table.values
+
+    params = [values, backbone.linear, np.array([backbone.bias])]
+    params.extend(p for pair in backbone.layers for p in pair)
+    moment1 = [np.zeros_like(p) for p in params]
+    moment2 = [np.zeros_like(p) for p in params]
+
+    shuffle_rng = np.random.default_rng((config.seed, 1))
+    step = 0
+    count = len(dataset)
+    for epoch in range(config.epochs):
+        order = shuffle_rng.permutation(count)
+        epoch_loss = 0.0
+        for batch_index, start in enumerate(range(0, count, config.batch_size)):
+            take = order[start : start + config.batch_size]
+            try:
+                loss, grads = dense_batch_gradients(
+                    values, backbone, dataset.ids[take], dataset.labels[take]
+                )
+            except NonFiniteError:
+                raise sp.TrainingDiverged(
+                    f"non-finite loss at epoch {epoch} batch {batch_index}"
+                ) from None
+            if flags is not None:
+                grads.embedding[flags] = 0.0
+            grad_list = [grads.embedding, grads.linear, np.array([grads.bias])]
+            grad_list.extend(g for pair in grads.layers for g in pair)
+            step += 1
+            correct1 = 1.0 - BETA1 ** step
+            correct2 = 1.0 - BETA2 ** step
+            for p, g, m1, m2 in zip(params, grad_list, moment1, moment2):
+                m1 *= BETA1
+                m1 += (1.0 - BETA1) * g
+                m2 *= BETA2
+                m2 += (1.0 - BETA2) * (g * g)
+                p -= config.learning_rate * (m1 / correct1) / (np.sqrt(m2 / correct2) + ADAM_EPS)
+            backbone.bias = float(params[2][0])
+            epoch_loss += loss * take.shape[0]
+    return model
+
+
 def pairwise_auc_reference(labels, scores):
     """AUC as the fraction of correctly ordered positive/negative pairs."""
     labels = np.asarray(labels)

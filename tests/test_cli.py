@@ -83,6 +83,9 @@ class TestPipeline:
         assert sum(1 for line in lines if line.startswith("event=epoch ")) == 2
         assert any(line.startswith("event=train_done ") for line in lines)
         assert "train_logloss=" in lines[-1]
+        fields = dict(part.split("=") for part in lines[-1].split())
+        assert {"seconds", "steps", "steps_per_s"} <= fields.keys()
+        assert fields["steps"] == "6"  # 2 epochs of ceil(40 / 16) batches
 
     def test_eval_dense_model(self, toy_files, capsys):
         code, stdout, _ = run(
@@ -94,6 +97,8 @@ class TestPipeline:
         assert stdout.startswith("event=eval logloss=")
         assert "count=40" in stdout
         assert "freq_bucket" not in stdout
+        keys = {pair.split("=")[0] for pair in stdout.split()}
+        assert {"seconds", "rows_per_s"} <= keys
 
     def test_eval_pruned_model_adds_bucket_lines(self, toy_files, capsys):
         code, stdout, _ = run(

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import shapprune as sp
+from shapprune.model import _row_sums, _touched_rows
 from shapprune.serialization import CheckpointError
 
 from helpers import (
     batch_loss_mean,
+    dense_adam_train,
     flatten_params,
     naive_predict_proba,
     tiny_random_model,
@@ -263,6 +266,93 @@ class TestTraining:
         bad = sp.PruneMask.from_dense(np.zeros((3, 2), bool))
         with pytest.raises(ValueError, match="mask shape"):
             sp.train(ds, config, mask=bad, padding=sp.ZERO)
+
+
+def small_table_corpus(seed, n_fields=3, field_size=4, count=37):
+    """Random encoded dataset over a small table: with few rows per field,
+    rows repeat across the instances of every batch."""
+    rng = np.random.default_rng(seed)
+    tables = tuple({f"f{f}t{k}": k for k in range(field_size - 1)} for f in range(n_fields))
+    vocab = sp.Vocabulary(sp.FieldSchema.categorical(n_fields), tables, 0)
+    ids = vocab.offsets[:-1] + rng.integers(0, field_size, (count, n_fields))
+    labels = rng.integers(0, 2, count)
+    return sp.dataset_from_encoded(ids.astype(np.int64), labels.astype(np.int64), vocab)
+
+
+class TestSparseAdam:
+    """The row-sparse, in-place training step against dense Adam: every
+    trained parameter must match bit for bit."""
+
+    def assert_bitwise_equal(self, got, want):
+        assert got.embedding.values.tobytes() == want.embedding.values.tobytes()
+        assert got.backbone.linear.tobytes() == want.backbone.linear.tobytes()
+        assert np.float64(got.backbone.bias).tobytes() == np.float64(want.backbone.bias).tobytes()
+        assert len(got.backbone.layers) == len(want.backbone.layers)
+        for (wg, bg), (ww, bw) in zip(got.backbone.layers, want.backbone.layers):
+            assert wg.tobytes() == ww.tobytes() and bg.tobytes() == bw.tobytes()
+
+    @pytest.mark.parametrize("kind", [sp.FM, sp.DEEPFM])
+    def test_matches_dense_adam(self, kind):
+        # 37 instances in batches of 8 end on a partial batch of 5; with 4
+        # rows per field, every batch repeats some row across instances
+        ds = small_table_corpus(11)
+        config = sp.TrainConfig(backbone=kind, dim=3, hidden=(4, 3), epochs=3, batch_size=8,
+                                learning_rate=5e-2, seed=2)
+        self.assert_bitwise_equal(sp.train(ds, config), dense_adam_train(ds, config))
+
+    @pytest.mark.parametrize("kind", [sp.FM, sp.DEEPFM])
+    @pytest.mark.parametrize("padding", ["zero", "codebook"])
+    def test_masked_training_matches_dense_adam(self, kind, padding):
+        ds = small_table_corpus(12, field_size=6)
+        config = sp.TrainConfig(backbone=kind, dim=3, hidden=(4,), epochs=2, batch_size=8,
+                                learning_rate=5e-2, seed=4)
+        base = sp.train(ds, config)
+        flags = np.random.default_rng(3).random(base.embedding.values.shape) < 0.4
+        mask = sp.PruneMask.from_dense(flags)
+        pad = sp.ZERO if padding == "zero" else sp.compute_codebook(base, ds)
+        got = sp.train(ds, config, init=base, mask=mask, padding=pad)
+        want = dense_adam_train(ds, config, init=base, mask=mask, padding=pad)
+        self.assert_bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("width", [(), (4,)])
+    def test_row_sums_match_add_at(self, width):
+        rng = np.random.default_rng(5)
+        n = 9
+        ids = rng.integers(0, 6, (12, 3))
+        ids[:, 0] = 7  # a row every instance repeats
+        ids[3, 1] = 8  # a row whose only contribution is -0.0
+        rows, where = _touched_rows(ids, n)
+        parts = rng.normal(size=(ids.size, *width))
+        parts[::5] = -0.0
+        parts[6] = -parts[3]  # row 7 cancels to 0.0 midway
+        parts[3 * 3 + 1] = -0.0
+        dense = np.zeros((n, *width))
+        np.add.at(dense, ids.ravel(), parts)
+        assert rows.tolist() == sorted(set(ids.ravel().tolist()))
+        assert np.array_equal(rows[where], ids.ravel())
+        block = _row_sums(where, rows.shape[0], parts)
+        assert block.tobytes() == dense[rows].tobytes()
+        assert not np.signbit(block[rows.tolist().index(8)]).any()
+
+    def test_training_allocates_no_table_sized_temporaries(self):
+        # Budget in table sizes: the parameters, two Adam moments and two
+        # scratch buffers (5), plus the linear weights' share and slack. A
+        # full-table gradient or temporary per step would exceed it.
+        ds = small_table_corpus(13, n_fields=2, field_size=1200, count=96)
+        config = sp.TrainConfig(backbone=sp.FM, dim=16, epochs=1, batch_size=8, seed=0)
+        table_bytes = ds.vocab.n * config.dim * 8
+        outer = tracemalloc.is_tracing()
+        if not outer:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            sp.train(ds, config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not outer:
+                tracemalloc.stop()
+        assert peak < 6.5 * table_bytes, f"peak {peak / table_bytes:.2f} table sizes"
 
 
 class TestPruneMask:
