@@ -5,8 +5,8 @@ A field-aware codebook for pruned coordinates
 Zeroing a pruned coordinate is free but crude. The codebook replaces every
 pruned coordinate of field j with the frequency-weighted mean of that
 field's embedding rows, which minimizes the expected squared perturbation of
-the summed embedding vector. This script computes the closed form and then
-checks it against a Monte Carlo estimate of that objective.
+the summed embedding vector. This script computes the closed form, checks
+it against the weighted row means, and imputes a table with it.
 """
 
 import numpy as np
@@ -29,23 +29,6 @@ for j in range(vocab.field_count):
     manual = (weights[:, None] * model.embedding.values[lo:hi]).sum(0) / weights.sum()
     print(f"  field {j}: {np.round(codebook.values[j], 4)}"
           f"  (weighted row mean, check {np.allclose(manual, codebook.values[j])})")
-
-# the sampled objective replaces a random half of all coordinates and
-# measures the squared shift of each instance's summed embedding; common
-# random numbers make candidate comparisons exact
-def sampled(values):
-    return sp.codebook_objective(model, ds, sp.Codebook(values), 0.5,
-                                 n_samples=5000, seed=3)
-
-closed = sampled(codebook.values)
-zero = sampled(np.zeros_like(codebook.values))
-print(f"\nsampled objective, closed form: {closed:.5f}")
-print(f"sampled objective, zero fill:   {zero:.5f}")
-
-rng = np.random.default_rng(0)
-worst = min(sampled(codebook.values + rng.normal(0, 0.05, codebook.values.shape))
-            for _ in range(10))
-print(f"best of 10 nearby perturbations: {worst:.5f} (none beat the closed form)")
 
 # imputation writes codebook entries into the pruned slots of a dense table
 negative = model.embedding.values < 0

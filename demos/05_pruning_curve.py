@@ -35,11 +35,9 @@ scores = {
 grid = (0.5, 0.8, 0.95)
 print("\nmethod     " + "".join(f"  t={t:<6}" for t in grid) + " (test logloss)")
 for name, score in scores.items():
-    losses = []
-    for t in grid:
-        pruned = sp.prune(model, score, t, frequencies=train_ds.frequencies)
-        losses.append(sp.evaluate(pruned, test_ds).logloss)
-    print(f"{name:10s}" + "".join(f"  {x:.4f}" for x in losses))
+    # one ranking per method; each budget prunes a prefix of it
+    curve = sp.prune_curve(model, score, grid, test_ds, frequencies=train_ds.frequencies)
+    print(f"{name:10s}" + "".join(f"  {row['logloss']:.4f}" for row in curve))
 
 # budgets are exact: round(t * n * d) coordinates go, never one more or less
 pruned = sp.prune(model, scores["shapley"], 0.95, frequencies=train_ds.frequencies)

@@ -349,7 +349,6 @@ def cmd_oracle(args) -> int:
 def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="key=value file overriding flags, last wins")
-    shared.add_argument("--threads", type=int, default=1, help="worker cap for attribution")
 
     parser = argparse.ArgumentParser(
         prog="shapprune",
@@ -404,6 +403,7 @@ def build_parser():
     p.add_argument("--passes", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fraction", type=float, default=1.0, help="subsample the data first")
+    p.add_argument("--threads", type=int, default=1, help="worker cap for attribution")
     p.set_defaults(handler=cmd_attribute, input_paths=("model", "vocab", "data"))
     commands["attribute"] = p
 

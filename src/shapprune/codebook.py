@@ -10,8 +10,7 @@ frequency-weighted mean of each field's rows:
 
 because each field's residual term can be driven to zero independently and
 the per-column quadratic is positive definite. compute_codebook evaluates
-exactly that; codebook_objective is a Monte Carlo estimate of the objective
-itself, kept as a cross-check oracle for tests.
+exactly that.
 """
 
 from __future__ import annotations
@@ -73,44 +72,6 @@ def impute(values: np.ndarray, offsets: np.ndarray, flags: np.ndarray, padding) 
     else:
         raise ValueError('padding must be "zero" or a Codebook')
     return np.where(flags, fill, values)
-
-
-def codebook_objective(
-    model,
-    dataset,
-    codebook: Codebook,
-    budget_fraction: float,
-    n_samples: int = 10_000,
-    seed: int = 0,
-) -> float:
-    """Monte Carlo estimate of the expected squared perturbation of the
-    active-embedding sum when a uniformly random coordinate set of size
-    round(budget_fraction * n * d) is replaced by the codebook.
-
-    The sample stream depends only on (dataset, budget_fraction, n_samples,
-    seed), so candidates evaluated with identical arguments share the same
-    draws. Test oracle; not used by the pruning path.
-    """
-    values = model.embedding.values
-    offsets = model.embedding.offsets
-    n, d = values.shape
-    total = n * d
-    budget = int(np.rint(budget_fraction * total))
-    if budget == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    picks = rng.integers(0, len(dataset), size=n_samples)
-    # one uniform size-budget coordinate subset per sample
-    masked = rng.random((n_samples, total)).argsort(axis=1)[:, :budget]
-    member = np.zeros((n_samples, total), bool)
-    member[np.repeat(np.arange(n_samples), budget), masked.ravel()] = True
-
-    ids = dataset.ids[picks]  # (S, m)
-    flat = ids[:, :, None] * d + np.arange(d)[None, None, :]  # (S, m, d)
-    hit = member[np.arange(n_samples)[:, None, None], flat]
-    delta = (values[ids] - codebook.values[None, :, :]) * hit
-    shift = delta.sum(axis=1)
-    return float(np.mean((shift * shift).sum(axis=1)))
 
 
 def codebook_section_payload(codebook: Codebook) -> bytes:

@@ -3,10 +3,13 @@
 Given an (n, d) score matrix, prune(model, scores, t) empties the
 round(t * n * d) lowest-scoring coordinates (ties: lower feature frequency
 first, then larger row index, then larger column index) and stores the
-survivors in CSR form. Only the embedding table is pruned; linear weights,
-bias, and MLP parameters ride along untouched. Scoring a pruned model reads
-zero or the field codebook row at emptied coordinates and is bit-identical
-to scoring the dense model through an imputed view of the same table.
+survivors in CSR form. The coordinates are ranked once and every budget
+prunes a prefix of that ranking, so pruned sets nest across budgets and
+prune_curve ranks once for its whole grid. Only the embedding table is
+pruned; linear weights, bias, and MLP parameters ride along untouched.
+Scoring a pruned model reads zero or the field codebook row at emptied
+coordinates and is bit-identical to scoring the dense model through an
+imputed view of the same table.
 """
 
 from __future__ import annotations
@@ -164,47 +167,45 @@ def load_pruned(path) -> PrunedModel:
         return PrunedModel.from_bytes(fh.read())
 
 
-def prune(
-    model: Model,
-    scores,
-    sparsity: float,
-    padding: str = ZERO,
-    codebook: Codebook | None = None,
-    frequencies: np.ndarray | None = None,
-) -> PrunedModel:
-    """Empty the round(sparsity * n * d) lowest-scoring embedding coordinates.
+def _rank(model: Model, scores, padding: str, codebook, frequencies) -> tuple:
+    """Validate prune's inputs and rank all n * d coordinates once.
 
-    frequencies (per feature id) only breaks score ties: lower-frequency
-    features go first, then larger row, then larger column, making the kept
-    set a deterministic function of the inputs. Kept values are copied bit
-    for bit. Any monotone transform of the scores yields the same mask.
+    Returns the flat scores and the flat coordinate indices in pruning
+    order: lowest score first, ties to lower frequency, then larger row,
+    then larger column. Every budget prunes a prefix of this one order.
     """
-    values = model.embedding.values
-    n, d = values.shape
+    n, d = model.embedding.values.shape
     score_matrix = np.asarray(scores.values if hasattr(scores, "values") else scores)
     if score_matrix.shape != (n, d):
         raise ValueError("score matrix shape does not match the embedding table")
+    if not np.isfinite(score_matrix).all():
+        raise ValueError("scores must be finite")
     if padding not in _PAD_CODES:
         raise ValueError(f'padding must be "{ZERO}" or "{CODEBOOK}"')
     if padding == CODEBOOK and codebook is None:
         raise ValueError("codebook padding requires a codebook")
-    if frequencies is None:
-        frequencies = np.zeros(n, np.int64)
-    budget = parameter_budget(sparsity, n, d)
-
+    frequencies = np.zeros(n, np.int64) if frequencies is None else np.asarray(frequencies)
+    if frequencies.shape != (n,):
+        raise ValueError(f"frequencies must hold one count per embedding row ({n})")
+    # a stable sort of the rows read in reverse puts the larger row first
+    # among equal frequencies; each row then contributes columns d-1..0
+    rows = n - 1 - np.argsort(frequencies[::-1], kind="stable")
+    tie_order = (rows[:, None] * d + np.arange(d - 1, -1, -1)).ravel()
     flat_scores = score_matrix.ravel()
-    rows = np.repeat(np.arange(n), d)
-    cols = np.tile(np.arange(d), n)
-    order = np.lexsort((-cols, -rows, np.repeat(frequencies, d), flat_scores))
-    pruned_flat = order[:budget]
+    return flat_scores, tie_order[np.argsort(flat_scores[tie_order], kind="stable")]
+
+
+def _cut(model: Model, flat_scores, order, sparsity, padding, codebook) -> PrunedModel:
+    """Empty the first round(sparsity * n * d) coordinates of a _rank order."""
+    values = model.embedding.values
+    n, d = values.shape
+    budget = parameter_budget(sparsity, n, d)
     flags = np.zeros(n * d, bool)
-    flags[pruned_flat] = True
+    flags[order[:budget]] = True
     if budget and budget < n * d:
         # every pruned score sits at or below every kept score
-        assert flat_scores[pruned_flat].max() <= flat_scores[~flags].min()
-    flags = flags.reshape(n, d)
-
-    kept = ~flags
+        assert flat_scores[order[:budget]].max() <= flat_scores[~flags].min()
+    kept = ~flags.reshape(n, d)
     row_ptr = np.zeros(n + 1, np.int64)
     np.cumsum(kept.sum(axis=1), out=row_ptr[1:])
     kept_rows, kept_cols = np.nonzero(kept)
@@ -219,6 +220,28 @@ def prune(
         codebook if padding == CODEBOOK else None,
         sparsity,
     )
+
+
+def prune(
+    model: Model,
+    scores,
+    sparsity: float,
+    padding: str = ZERO,
+    codebook: Codebook | None = None,
+    frequencies: np.ndarray | None = None,
+) -> PrunedModel:
+    """Empty the round(sparsity * n * d) lowest-scoring embedding coordinates.
+
+    scores must be finite. frequencies (one count per feature id) only
+    breaks score ties: lower-frequency features go first, then larger row,
+    then larger column, making the kept set a deterministic function of the
+    inputs. Every budget prunes a prefix of that one ranking, so for
+    t1 < t2 the coordinates pruned at t1 are also pruned at t2. Kept values
+    are copied bit for bit. Any monotone transform of the scores yields the
+    same mask.
+    """
+    flat_scores, order = _rank(model, scores, padding, codebook, frequencies)
+    return _cut(model, flat_scores, order, sparsity, padding, codebook)
 
 
 def auc_rank(labels: np.ndarray, predictions: np.ndarray):
@@ -278,13 +301,18 @@ def prune_curve(
     frequencies: np.ndarray | None = None,
 ) -> list:
     """Evaluate a strictly increasing sparsity grid. Returns one row per t
-    with keys sparsity, auc, logloss, kept_params, file_bytes."""
+    with keys sparsity, auc, logloss, kept_params, file_bytes.
+
+    Row t equals evaluating prune(model, scores, t, ...). The coordinates
+    are ranked once for the whole grid and each point prunes a prefix of
+    that ranking, so the pruned sets nest along the grid."""
     grid = list(sparsities)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("sparsity grid must be strictly increasing")
+    flat_scores, order = _rank(model, scores, padding, codebook, frequencies)
     rows = []
     for t in grid:
-        pruned = prune(model, scores, t, padding, codebook, frequencies)
+        pruned = _cut(model, flat_scores, order, t, padding, codebook)
         report = evaluate(pruned, dataset)
         rows.append(
             {

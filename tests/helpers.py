@@ -271,6 +271,54 @@ def dense_adam_train(dataset, config, init=None, mask=None, padding=None):
     return model
 
 
+def codebook_objective(
+    model,
+    dataset,
+    codebook,
+    budget_fraction: float,
+    n_samples: int = 10_000,
+    seed: int = 0,
+) -> float:
+    """Monte Carlo estimate of the expected squared perturbation of the
+    active-embedding sum when a uniformly random coordinate set of size
+    round(budget_fraction * n * d) is replaced by the codebook.
+
+    The sample stream depends only on (dataset, budget_fraction, n_samples,
+    seed), so candidates evaluated with identical arguments share the same
+    draws.
+    """
+    values = model.embedding.values
+    n, d = values.shape
+    total = n * d
+    budget = int(np.rint(budget_fraction * total))
+    if budget == 0:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(0, len(dataset), size=n_samples)
+    # one uniform size-budget coordinate subset per sample
+    masked = rng.random((n_samples, total)).argsort(axis=1)[:, :budget]
+    member = np.zeros((n_samples, total), bool)
+    member[np.repeat(np.arange(n_samples), budget), masked.ravel()] = True
+
+    ids = dataset.ids[picks]  # (S, m)
+    flat = ids[:, :, None] * d + np.arange(d)[None, None, :]  # (S, m, d)
+    hit = member[np.arange(n_samples)[:, None, None], flat]
+    delta = (values[ids] - codebook.values[None, :, :]) * hit
+    shift = delta.sum(axis=1)
+    return float(np.mean((shift * shift).sum(axis=1)))
+
+
+def lexsort_prune_order(scores, frequencies=None):
+    """Flat coordinate indices in pruning order from one four-key lexsort:
+    score, then lower frequency, then larger row, then larger column."""
+    n, d = scores.shape
+    if frequencies is None:
+        frequencies = np.zeros(n, np.int64)
+    rows = np.repeat(np.arange(n), d)
+    cols = np.tile(np.arange(d), n)
+    return np.lexsort((-cols, -rows, np.repeat(frequencies, d), scores.ravel()))
+
+
 def pairwise_auc_reference(labels, scores):
     """AUC as the fraction of correctly ordered positive/negative pairs."""
     labels = np.asarray(labels)

@@ -14,7 +14,7 @@ from scipy.optimize import minimize
 
 import shapprune as sp
 
-from helpers import flat_fm_model, table_game_exact_shapley, tiny_random_model
+from helpers import codebook_objective, flat_fm_model, table_game_exact_shapley, tiny_random_model
 
 
 def full_removal_delta(model, instance, dim):
@@ -199,7 +199,7 @@ class TestAcceptance:
         # route 2: under a common-random-numbers Monte Carlo estimate of the
         # deployment objective, no nearby candidate scores lower
         def sampled(candidate_values):
-            return sp.codebook_objective(
+            return codebook_objective(
                 toy_model, ds, sp.Codebook(candidate_values), 0.5,
                 n_samples=10_000, seed=77,
             )

@@ -338,6 +338,18 @@ class TestConfigFile:
         assert code == 1
         assert "unknown key 'momentum'" in stderr
 
+    def test_threads_belongs_to_attribute_only(self, toy_files, capsys, tmp_path):
+        out = tmp_path / "pruned.shvr"
+        prune = ["prune", "--model", toy_files["model"], "--scores", toy_files["scores"],
+                 "--sparsity", "0.5", "--out", str(out)]
+        assert run(capsys, *prune, "--threads", "2")[0] == 2
+        config = tmp_path / "run.cfg"
+        config.write_text("threads=2\n")
+        code, _, stderr = run(capsys, *prune, "--config", str(config))
+        assert code == 1
+        assert "unknown key 'threads'" in stderr
+        assert not out.exists()
+
     def test_malformed_line_is_a_domain_error(self, toy_files, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("epochs 3\n")

@@ -9,6 +9,8 @@ from shapprune.codebook import (
 )
 from shapprune.serialization import CheckpointError
 
+from helpers import codebook_objective
+
 
 def one_field_setup():
     """Single field, two features with embeddings [1,0] and [5,4], observed
@@ -113,13 +115,13 @@ class TestObjective:
     def test_zero_budget_is_zero(self, toy_model, toy_corpus):
         _, _, _, ds = toy_corpus
         codebook = sp.compute_codebook(toy_model, ds)
-        assert sp.codebook_objective(toy_model, ds, codebook, 0.0) == 0.0
+        assert codebook_objective(toy_model, ds, codebook, 0.0) == 0.0
 
     def test_deterministic_for_a_seed(self, toy_model, toy_corpus):
         _, _, _, ds = toy_corpus
         codebook = sp.compute_codebook(toy_model, ds)
-        a = sp.codebook_objective(toy_model, ds, codebook, 0.5, n_samples=500, seed=3)
-        b = sp.codebook_objective(toy_model, ds, codebook, 0.5, n_samples=500, seed=3)
+        a = codebook_objective(toy_model, ds, codebook, 0.5, n_samples=500, seed=3)
+        b = codebook_objective(toy_model, ds, codebook, 0.5, n_samples=500, seed=3)
         assert a == b
 
     def test_identical_rows_make_the_objective_vanish(self):
@@ -136,27 +138,27 @@ class TestObjective:
         ds = sp.dataset_from_encoded(ids, np.array([0, 1], np.int64), vocab)
         codebook = sp.compute_codebook(model, ds)
         assert np.array_equal(codebook.values, np.array([[0.5, -1.0], [2.0, 0.0]]))
-        assert sp.codebook_objective(model, ds, codebook, 0.5, n_samples=400, seed=0) == 0.0
+        assert codebook_objective(model, ds, codebook, 0.5, n_samples=400, seed=0) == 0.0
 
     def test_closed_form_beats_perturbations_under_shared_draws(
         self, toy_model, toy_corpus
     ):
         _, _, _, ds = toy_corpus
         codebook = sp.compute_codebook(toy_model, ds)
-        best = sp.codebook_objective(toy_model, ds, codebook, 0.5, n_samples=3000, seed=11)
+        best = codebook_objective(toy_model, ds, codebook, 0.5, n_samples=3000, seed=11)
         rng = np.random.default_rng(7)
         for _ in range(20):
             delta = rng.normal(0.0, 0.05, codebook.values.shape)
             rival = sp.Codebook(codebook.values + delta, codebook.frequency_fingerprint)
-            other = sp.codebook_objective(toy_model, ds, rival, 0.5, n_samples=3000, seed=11)
+            other = codebook_objective(toy_model, ds, rival, 0.5, n_samples=3000, seed=11)
             assert other >= best
 
     def test_closed_form_beats_zero_codebook(self, toy_model, toy_corpus):
         _, _, _, ds = toy_corpus
         codebook = sp.compute_codebook(toy_model, ds)
         zero = sp.Codebook(np.zeros_like(codebook.values))
-        best = sp.codebook_objective(toy_model, ds, codebook, 0.5, n_samples=3000, seed=2)
-        worse = sp.codebook_objective(toy_model, ds, zero, 0.5, n_samples=3000, seed=2)
+        best = codebook_objective(toy_model, ds, codebook, 0.5, n_samples=3000, seed=2)
+        worse = codebook_objective(toy_model, ds, zero, 0.5, n_samples=3000, seed=2)
         assert worse > best
 
 

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shapprune as sp
 from shapprune.serialization import CheckpointError
 
-from helpers import flat_fm_model, pairwise_auc_reference
+from helpers import flat_fm_model, lexsort_prune_order, pairwise_auc_reference
 
 
 class TestParameterBudget:
@@ -114,6 +118,100 @@ class TestPrune:
             sp.prune(toy_model, toy_exact_scores, 0.5, padding=sp.CODEBOOK)
         with pytest.raises(ValueError, match="sparsity"):
             sp.prune(toy_model, toy_exact_scores, 1.2)
+
+
+    @pytest.mark.parametrize("shape", [(6,), (8,), (7, 1)])
+    def test_frequencies_need_one_count_per_row(
+        self, toy_model, toy_exact_scores, toy_corpus, shape
+    ):
+        _, _, _, ds = toy_corpus
+        freq = np.ones(shape, np.int64)
+        with pytest.raises(ValueError, match="frequencies"):
+            sp.prune(toy_model, toy_exact_scores, 0.5, frequencies=freq)
+        with pytest.raises(ValueError, match="frequencies"):
+            sp.prune_curve(toy_model, toy_exact_scores, (0.5,), ds, frequencies=freq)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, toy_model, toy_exact_scores, toy_corpus, bad):
+        _, _, _, ds = toy_corpus
+        scores = toy_exact_scores.values.copy()
+        scores[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sp.prune(toy_model, scores, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            sp.prune_curve(toy_model, scores, (0.5,), ds)
+
+    def test_pruning_allocates_no_ranking_keys(self):
+        # The ranking holds a tie order, the gathered scores and their sort
+        # permutation (3 table sizes); n * d key arrays would exceed this.
+        model, ds = flat_fm_model(6, 400, 16, seed=1)
+        n, d = model.embedding.values.shape
+        scores = np.random.default_rng(0).normal(size=(n, d))
+        outer = tracemalloc.is_tracing()
+        if not outer:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            sp.prune(model, scores, 0.8, frequencies=ds.frequencies)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not outer:
+                tracemalloc.stop()
+        table_bytes = n * d * 8
+        assert peak < 4.5 * table_bytes, f"peak {peak / table_bytes:.2f} table sizes"
+
+
+def tied_scores(rng, n, d):
+    """Scores with heavy zero ties, +-1e-20 entries and negative zeros."""
+    scores = rng.normal(size=(n, d))
+    scores[rng.random(n) < 0.6] = 0.0
+    tiny = rng.random((n, d)) < 0.1
+    scores[tiny] = rng.choice([-1e-20, 1e-20], size=int(tiny.sum()))
+    scores[rng.random((n, d)) < 0.1] = -0.0
+    return scores
+
+
+class TestRanking:
+    @pytest.mark.parametrize("freq_kind", ["random", "tied", "zero", "none"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_four_key_lexsort(self, seed, freq_kind):
+        model, _ = flat_fm_model(4, 25, 6, seed=seed)
+        n, d = model.embedding.values.shape
+        rng = np.random.default_rng(seed)
+        scores = tied_scores(rng, n, d)
+        frequencies = {
+            "random": rng.integers(0, 50, n),
+            "tied": rng.integers(0, 3, n),
+            "zero": np.zeros(n, np.int64),
+            "none": None,
+        }[freq_kind]
+        order = lexsort_prune_order(scores, frequencies)
+        for t in (0.1, 0.3, 0.5, 0.8, 0.95):
+            expected = np.zeros(n * d, bool)
+            expected[order[: sp.parameter_budget(t, n, d)]] = True
+            pruned = sp.prune(model, scores, t, frequencies=frequencies)
+            assert np.array_equal(pruned.prune_mask().dense(), expected.reshape(n, d))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        fields=st.integers(1, 4),
+        field_size=st.integers(2, 6),
+        d=st.integers(1, 5),
+        t1=st.floats(0.0, 1.0),
+        t2=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pruned_sets_nest(self, seed, fields, field_size, d, t1, t2):
+        model, _ = flat_fm_model(fields, field_size, d, seed=0)
+        n = model.embedding.n
+        rng = np.random.default_rng(seed)
+        scores = tied_scores(rng, n, d)
+        frequencies = rng.integers(0, 3, n)
+        low, high = sorted((t1, t2))
+        small = sp.prune(model, scores, low, frequencies=frequencies).prune_mask().dense()
+        large = sp.prune(model, scores, high, frequencies=frequencies).prune_mask().dense()
+        assert not (small & ~large).any()
 
 
 class TestPrunedScoring:
@@ -348,6 +446,21 @@ class TestCurve:
         assert kept == sorted(kept, reverse=True)
         for row in rows:
             assert set(row) == set(sp.CURVE_HEADER)
+
+    def test_rows_equal_evaluating_prune(self, toy_model, toy_exact_scores, toy_corpus):
+        _, _, _, ds = toy_corpus
+        codebook = sp.compute_codebook(toy_model, ds)
+        grid = (0.0, 0.2, 0.5, 0.8, 1.0)
+        for padding in (sp.ZERO, sp.CODEBOOK):
+            args = (padding, codebook, ds.frequencies)
+            rows = sp.prune_curve(toy_model, toy_exact_scores, grid, ds, *args)
+            for t, row in zip(grid, rows):
+                pruned = sp.prune(toy_model, toy_exact_scores, t, *args)
+                report = sp.evaluate(pruned, ds)
+                assert row["kept_params"] == pruned.kept_count
+                assert row["file_bytes"] == report.storage_bytes
+                assert row["logloss"] == report.logloss
+                assert row["auc"] == report.auc
 
     def test_grid_must_strictly_increase(self, toy_model, toy_exact_scores, toy_corpus):
         _, _, _, ds = toy_corpus
