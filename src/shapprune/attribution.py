@@ -161,9 +161,7 @@ def removal_loss_delta(model: Model, instance: Instance, removal: np.ndarray) ->
 
 
 def _check_compatible(model: Model, dataset: Dataset) -> None:
-    if model.embedding.n != dataset.vocab.n or not np.array_equal(
-        model.embedding.offsets, dataset.vocab.offsets
-    ):
+    if not dataset.vocab.matches(model.embedding.n, model.embedding.offsets):
         raise ValueError("model and dataset do not share a vocabulary layout")
 
 

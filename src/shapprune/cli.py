@@ -149,18 +149,14 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
 
-    init = mask = None
-    padding = None
+    init = mask = padding = None
     if args.mask:
         pruned = load_pruned(args.mask)
         check_vocabulary(vocab, pruned.n, pruned.offsets)
         mask = pruned.prune_mask()
-        padding = pruned.codebook if pruned.padding == CODEBOOK else ZERO
-        init = Model(
-            EmbeddingTable(pruned.effective_values().copy(), pruned.offsets.copy()),
-            pruned.backbone,
-            vocab,
-        )
+        padding = ZERO if pruned.codebook is None else pruned.codebook
+        # train works on a copy, so the pruned table can seed it directly
+        init = Model(EmbeddingTable(pruned.values, pruned.offsets), pruned.backbone, vocab)
         log(event="finetune", mask=args.mask, pruned_coords=mask.count, padding=pruned.padding)
 
     def on_epoch(epoch, loss):
@@ -185,7 +181,9 @@ def cmd_train(args) -> int:
 def cmd_codebook(args) -> int:
     vocab, dataset = _load_inputs(args)
     model = load_model(args.model, vocab)
+    start = time.perf_counter()
     model.codebook = compute_codebook(model, dataset)
+    seconds = time.perf_counter() - start
     out = args.out or args.model
     save_model(model, out)
     log(
@@ -193,6 +191,8 @@ def cmd_codebook(args) -> int:
         fields=model.embedding.field_count,
         dim=model.embedding.d,
         fingerprint=model.codebook.frequency_fingerprint,
+        seconds=seconds,
+        rows_per_s=model.embedding.n / seconds,
         out=out,
     )
     return 0
@@ -262,7 +262,9 @@ def cmd_prune(args) -> int:
         dataset = encode_rows(read_csv_rows(args.data), vocab)
     codebook = _codebook_for(model, args.padding, dataset)
     frequencies = dataset.frequencies if dataset is not None else None
+    start = time.perf_counter()
     pruned = prune(model, scores, args.sparsity, args.padding, codebook, frequencies)
+    seconds = time.perf_counter() - start
     pruned.save(args.out)
     log(
         event="prune",
@@ -270,6 +272,8 @@ def cmd_prune(args) -> int:
         kept=pruned.kept_count,
         pruned=pruned.n * pruned.dim - pruned.kept_count,
         padding=args.padding,
+        seconds=seconds,
+        coords_per_s=pruned.n * pruned.dim / seconds,
         out=args.out,
     )
     return 0
@@ -292,14 +296,7 @@ def cmd_eval(args) -> int:
     )
     if isinstance(target, PrunedModel):
         for index, bucket in enumerate(frequency_bucket_report(target, dataset.frequencies)):
-            log(
-                event="freq_bucket",
-                bucket=index,
-                features=bucket["features"],
-                mean_kept_dims=bucket["mean_kept_dims"],
-                min_frequency=bucket["min_frequency"],
-                max_frequency=bucket["max_frequency"],
-            )
+            log(event="freq_bucket", bucket=index, **bucket)
     return 0
 
 
@@ -308,6 +305,7 @@ def cmd_curve(args) -> int:
     model = load_model(args.model, vocab)
     scores = AttributionScores.load(args.scores)
     codebook = _codebook_for(model, args.padding, dataset)
+    start = time.perf_counter()
     rows = prune_curve(
         model,
         scores,
@@ -317,17 +315,17 @@ def cmd_curve(args) -> int:
         codebook=codebook,
         frequencies=dataset.frequencies,
     )
+    seconds = time.perf_counter() - start
     write_curve_csv(args.out, rows)
     for row in rows:
-        log(
-            event="curve",
-            sparsity=row["sparsity"],
-            auc=row["auc"],
-            logloss=row["logloss"],
-            kept_params=row["kept_params"],
-            file_bytes=row["file_bytes"],
-        )
-    log(event="curve_done", points=len(rows), out=args.out)
+        log(event="curve", **row)
+    log(
+        event="curve_done",
+        points=len(rows),
+        seconds=seconds,
+        points_per_s=len(rows) / seconds,
+        out=args.out,
+    )
     return 0
 
 

@@ -42,6 +42,8 @@ def compute_codebook(model, dataset) -> Codebook:
     the dataset it will be pruned against."""
     values = model.embedding.values
     offsets = model.embedding.offsets
+    if not dataset.vocab.matches(values.shape[0], offsets):
+        raise ValueError("model and dataset do not share a vocabulary layout")
     freq = dataset.frequencies.astype(np.float64)
     m, d = offsets.shape[0] - 1, values.shape[1]
     out = np.empty((m, d))
@@ -50,8 +52,7 @@ def compute_codebook(model, dataset) -> Codebook:
         weight = freq[lo:hi]
         total = weight.sum()
         if total == 0:
-            name = dataset.vocab.schema.names[j] if dataset.vocab else str(j)
-            raise ValueError(f"field {name!r} has zero total frequency")
+            raise ValueError(f"field {dataset.vocab.schema.names[j]!r} has zero total frequency")
         out[j] = weight @ values[lo:hi] / total
     crc = zlib.crc32(np.ascontiguousarray(dataset.frequencies, dtype="<i8").tobytes())
     return Codebook(out, crc)

@@ -157,6 +157,10 @@ class Vocabulary:
     def field_count(self) -> int:
         return self.schema.field_count
 
+    def matches(self, n: int, offsets: np.ndarray) -> bool:
+        """Whether this vocabulary lays out an n-row table split at offsets."""
+        return self.n == n and np.array_equal(self.offsets, offsets)
+
     @property
     def field_sizes(self) -> tuple[int, ...]:
         return tuple(len(t) + 1 for t in self.tables)

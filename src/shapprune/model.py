@@ -395,6 +395,8 @@ def train(
     gradients are zeroed, so they never move. The input model is not
     modified; a trained copy is returned.
     """
+    if init is not None and not dataset.vocab.matches(init.embedding.n, init.embedding.offsets):
+        raise ValueError("model and dataset do not share a vocabulary layout")
     model = copy.deepcopy(init) if init is not None else init_model(dataset.vocab, config)
     table = model.embedding
     backbone = model.backbone
@@ -542,7 +544,7 @@ def model_to_bytes(model: Model) -> bytes:
 def check_vocabulary(vocab: Vocabulary | None, n: int, offsets: np.ndarray) -> None:
     """Raise CheckpointError unless vocab (if given) has the n rows and the
     field offsets of a loaded checkpoint's table."""
-    if vocab is not None and (vocab.n != n or not np.array_equal(vocab.offsets, offsets)):
+    if vocab is not None and not vocab.matches(n, offsets):
         raise ser.CheckpointError("vocabulary does not match this checkpoint")
 
 

@@ -2,14 +2,13 @@
 
 Given an (n, d) score matrix, prune(model, scores, t) empties the
 round(t * n * d) lowest-scoring coordinates (ties: lower feature frequency
-first, then larger row index, then larger column index) and stores the
-survivors in CSR form. The coordinates are ranked once and every budget
-prunes a prefix of that ranking, so pruned sets nest across budgets and
-prune_curve ranks once for its whole grid. Only the embedding table is
-pruned; linear weights, bias, and MLP parameters ride along untouched.
-Scoring a pruned model reads zero or the field codebook row at emptied
-coordinates and is bit-identical to scoring the dense model through an
-imputed view of the same table.
+first, then larger row index, then larger column index). The coordinates are
+ranked once and every budget prunes a prefix of that ranking, so pruned sets
+nest across budgets and prune_curve ranks once for its whole grid. Only the
+embedding table is pruned; linear weights, bias, and MLP parameters ride
+along untouched. A PrunedModel is the pruned-coordinate flags plus the
+padded table the scorer reads; CSR storage of the kept entries exists only
+in its file codec.
 """
 
 from __future__ import annotations
@@ -51,53 +50,41 @@ def parameter_budget(sparsity: float, n: int, d: int) -> int:
 
 @dataclass
 class PrunedModel:
-    """Pruned checkpoint: kept embedding entries in CSR plus the backbone.
+    """Pruned checkpoint: flags is a bool (n, d) array, True at pruned
+    coordinates; values is the (n, d) table the scorer reads, the kept
+    entries bit for bit and, at pruned coordinates, zero (codebook None) or
+    the row's field codebook entry. Only the file stores the kept entries,
+    as CSR (to_bytes, _read_csr)."""
 
-    col_idx[row_ptr[i]:row_ptr[i+1]] are the kept columns of feature i in
-    strictly increasing order, with their values in csr_values at the same
-    slots. padding names what pruned coordinates read at score time.
-    """
-
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
-    csr_values: np.ndarray
+    flags: np.ndarray
+    values: np.ndarray
     offsets: np.ndarray
-    dim: int
     backbone: BackboneParams
-    padding: str
     codebook: Codebook | None
     sparsity: float
 
-    def __post_init__(self):
-        self._effective = None
-        if self.padding == CODEBOOK and self.codebook is None:
-            raise ValueError("codebook padding requires a codebook")
-
     @property
     def n(self) -> int:
-        return int(self.row_ptr.shape[0]) - 1
+        return int(self.flags.shape[0])
+
+    @property
+    def dim(self) -> int:
+        return int(self.flags.shape[1])
+
+    @property
+    def padding(self) -> str:
+        return ZERO if self.codebook is None else CODEBOOK
 
     @property
     def kept_count(self) -> int:
-        return int(self.row_ptr[-1])
-
-    def _kept_rows(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n), np.diff(self.row_ptr))
+        return self.flags.size - int(np.count_nonzero(self.flags))
 
     def prune_mask(self) -> PruneMask:
-        flags = np.ones((self.n, self.dim), bool)
-        flags[self._kept_rows(), self.col_idx] = False
-        return PruneMask(flags)
+        return PruneMask.from_dense(self.flags)
 
     def effective_values(self) -> np.ndarray:
-        """Dense (n, d) table the scorer actually reads: kept values in
-        place, padding everywhere else."""
-        if self._effective is None:
-            stored = np.zeros((self.n, self.dim))
-            stored[self._kept_rows(), self.col_idx] = self.csr_values
-            pad = self.codebook if self.padding == CODEBOOK else ZERO
-            self._effective = impute(stored, self.offsets, self.prune_mask().dense(), pad)
-        return self._effective
+        """The (n, d) table the scorer reads (values itself, not a copy)."""
+        return self.values
 
     def to_bytes(self) -> bytes:
         w = ser.ByteWriter()
@@ -106,10 +93,14 @@ class PrunedModel:
         w.u8(_PAD_CODES[self.padding])
         w.f64(self.sparsity)
         write_backbone(w, self.backbone)
+        kept = ~self.flags
+        flat = np.flatnonzero(kept)
+        row_ptr = np.zeros(self.n + 1, np.int64)
+        np.cumsum(np.count_nonzero(kept, axis=1), out=row_ptr[1:])
         csr = ser.ByteWriter()
-        csr.array(self.row_ptr.astype("<u8"))
-        csr.array(self.col_idx.astype("<u4"))
-        csr.array(self.csr_values.astype("<f8"))
+        csr.array(row_ptr.astype("<u8"))
+        csr.array((flat % self.dim).astype("<u4"))
+        csr.array(self.values.ravel()[flat].astype("<f8", copy=False))
         w.section(ser.SECTION_CSR, csr.getvalue())
         if self.codebook is not None:
             w.section(ser.SECTION_CODEBOOK, codebook_section_payload(self.codebook))
@@ -133,9 +124,13 @@ class PrunedModel:
                 codebook = codebook_from_section(payload, offsets.shape[0] - 1, d)
         if csr is None:
             raise ser.CheckpointError("pruned model is missing its CSR section")
-        if _CODE_PADS[code] == CODEBOOK and codebook is None:
-            raise ser.CheckpointError("codebook padding requires a codebook section")
-        return cls(*csr, offsets, d, backbone, _CODE_PADS[code], codebook, sparsity)
+        if (_CODE_PADS[code] == CODEBOOK) != (codebook is not None):
+            raise ser.CheckpointError(
+                "codebook padding requires a codebook section and zero padding forbids one"
+            )
+        flags, stored = csr
+        values = impute(stored, offsets, flags, ZERO if codebook is None else codebook)
+        return cls(flags, values, offsets, backbone, codebook, sparsity)
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -143,9 +138,10 @@ class PrunedModel:
 
 
 def _read_csr(payload: bytes, n: int, d: int) -> tuple:
-    """(row_ptr, col_idx, values) of an n-row CSR section, rejecting any
-    layout other than the one prune writes: rows of at most d strictly
-    increasing columns below d, and no bytes past the last value."""
+    """(flags, values) of an n-row CSR section as (n, d) arrays, pruned
+    coordinates flagged and zero, rejecting any layout other than the one
+    to_bytes writes: rows of at most d strictly increasing columns below d,
+    and no bytes past the last value."""
     r = ser.ByteReader(payload)
     row_ptr = np.frombuffer(r.take(8 * (n + 1)), "<u8").astype(np.int64)
     per_row = np.diff(row_ptr)
@@ -158,8 +154,11 @@ def _read_csr(payload: bytes, n: int, d: int) -> tuple:
     flat = np.repeat(np.arange(n), per_row) * d + col_idx
     if (col_idx >= d).any() or (np.diff(flat) <= 0).any():
         raise ser.CheckpointError("CSR columns are out of range or not increasing")
-    values = np.frombuffer(r.take(8 * kept), "<f8").copy()
-    return row_ptr, col_idx.astype(np.int32), values
+    flags = np.ones(n * d, bool)
+    flags[flat] = False
+    values = np.zeros(n * d)
+    values[flat] = np.frombuffer(r.take(8 * kept), "<f8")
+    return flags.reshape(n, d), values.reshape(n, d)
 
 
 def load_pruned(path) -> PrunedModel:
@@ -205,21 +204,11 @@ def _cut(model: Model, flat_scores, order, sparsity, padding, codebook) -> Prune
     if budget and budget < n * d:
         # every pruned score sits at or below every kept score
         assert flat_scores[order[:budget]].max() <= flat_scores[~flags].min()
-    kept = ~flags.reshape(n, d)
-    row_ptr = np.zeros(n + 1, np.int64)
-    np.cumsum(kept.sum(axis=1), out=row_ptr[1:])
-    kept_rows, kept_cols = np.nonzero(kept)
-    return PrunedModel(
-        row_ptr,
-        kept_cols.astype(np.int32),
-        values[kept_rows, kept_cols].copy(),
-        model.embedding.offsets.copy(),
-        d,
-        model.backbone,
-        padding,
-        codebook if padding == CODEBOOK else None,
-        sparsity,
-    )
+    flags = flags.reshape(n, d)
+    codebook = codebook if padding == CODEBOOK else None
+    offsets = model.embedding.offsets
+    table = impute(values, offsets, flags, ZERO if codebook is None else codebook)
+    return PrunedModel(flags, table, offsets.copy(), model.backbone, codebook, sparsity)
 
 
 def prune(
@@ -270,16 +259,16 @@ class EvalReport:
 
 def evaluate(target, dataset: Dataset) -> EvalReport:
     """Log loss, AUC, and serialized size of a dense or pruned model on a
-    dataset."""
+    dataset laid out by the model's vocabulary."""
     if isinstance(target, PrunedModel):
-        values = target.effective_values()
-        backbone = target.backbone
+        values, offsets = target.effective_values(), target.offsets
         blob = target.to_bytes()
     else:
-        values = target.embedding.values
-        backbone = target.backbone
+        values, offsets = target.embedding.values, target.embedding.offsets
         blob = model_to_bytes(target)
-    predictions = predict_proba_values(values, backbone, dataset.ids)
+    if not dataset.vocab.matches(values.shape[0], offsets):
+        raise ValueError("model and dataset do not share a vocabulary layout")
+    predictions = predict_proba_values(values, target.backbone, dataset.ids)
     losses = log_loss(predictions, dataset.labels.astype(np.float64))
     auc = auc_rank(dataset.labels, predictions)
     return EvalReport(
@@ -351,7 +340,7 @@ def frequency_bucket_report(pruned: PrunedModel, frequencies: np.ndarray, bucket
 
     Features are sorted by frequency and split into `buckets` near-equal
     groups, lowest first. Shows where the budget went."""
-    kept_per_feature = np.diff(pruned.row_ptr)
+    kept_per_feature = pruned.dim - np.count_nonzero(pruned.flags, axis=1)
     order = np.argsort(frequencies, kind="stable")
     out = []
     for chunk in np.array_split(order, buckets):

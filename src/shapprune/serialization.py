@@ -26,6 +26,7 @@ model.write_backbone/read_backbone):
                backbone, sections: codebook
     pruned     kind tag 18, head, padding code u8 (0 zero, 1 codebook),
                sparsity f64, backbone, sections: CSR (required), codebook
+               (present exactly when the padding code is 1)
     vocabulary kind tag 16, min count u64, m u64, then per field: name
                text, field kind u8, token count u64, tokens as text
     scores     kind tag 17, n u64, d u64, sections: scores, metadata

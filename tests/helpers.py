@@ -319,6 +319,21 @@ def lexsort_prune_order(scores, frequencies=None):
     return np.lexsort((-cols, -rows, np.repeat(frequencies, d), scores.ravel()))
 
 
+def reference_csr(flags, values):
+    """CSR section payload for the kept entries of a bool (n, d) pruned-flag
+    array, assembled from np.nonzero and a boolean gather: row pointers
+    (n+1) u64, then the kept columns u32 and values f64 in row-major order."""
+    kept = ~flags
+    row_ptr = np.zeros(flags.shape[0] + 1, np.int64)
+    np.cumsum(kept.sum(axis=1), out=row_ptr[1:])
+    kept_rows, kept_cols = np.nonzero(kept)
+    return (
+        row_ptr.astype("<u8").tobytes()
+        + kept_cols.astype("<u4").tobytes()
+        + values[kept_rows, kept_cols].astype("<f8").tobytes()
+    )
+
+
 def pairwise_auc_reference(labels, scores):
     """AUC as the fraction of correctly ordered positive/negative pairs."""
     labels = np.asarray(labels)

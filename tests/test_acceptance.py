@@ -253,7 +253,7 @@ class TestAcceptance:
             frequencies=big_ds.frequencies,
         )
         dense_bytes = big_model.embedding.values.size * 8
-        csr_bytes = big.row_ptr.size * 8 + big.col_idx.size * 4 + big.csr_values.size * 8
+        csr_bytes = (big.n + 1) * 8 + 12 * big.kept_count
         factor = dense_bytes / csr_bytes
         ok = budgets_exact and zero_bit_exact and shrinking and roundtrip_ok and factor >= 10.0
         criterion(

@@ -1,7 +1,9 @@
 """The benchmark harness calls the library directly (estimate_shapley with
-threads=, PrunedModel.prune_mask().dense(), positional Model(table, backbone,
-vocab), predict_proba). Running its self-test here makes a break in that API
-fail the test suite instead of the next benchmark run."""
+threads=, positional Model(table, backbone, vocab), predict_proba). Of
+PrunedModel it calls prune_mask().dense(), effective_values(), kept_count,
+offsets, backbone, codebook, to_bytes() and save(), plus load_pruned.
+Running its self-test here makes a break in that API fail the test suite
+instead of the next benchmark run."""
 
 import subprocess
 import sys

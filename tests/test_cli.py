@@ -124,6 +124,8 @@ class TestPipeline:
         assert lines[0] == ",".join(sp.CURVE_HEADER)
         assert len(lines) == 3
         assert "event=curve_done points=2" in stdout
+        done = stdout.splitlines()[-1]
+        assert {"seconds", "points_per_s"} <= {pair.split("=")[0] for pair in done.split()}
 
     def test_codebook_embeds_into_checkpoint(self, toy_files, capsys, tmp_path):
         copy = str(tmp_path / "model.shvr")
@@ -135,6 +137,7 @@ class TestPipeline:
         )
         assert code == 0
         assert "event=codebook" in stdout
+        assert {"seconds", "rows_per_s"} <= {pair.split("=")[0] for pair in stdout.split()}
         model = sp.load_model(copy)
         assert model.codebook is not None
         assert model.codebook.values.shape == (3, 3)
@@ -148,6 +151,8 @@ class TestPipeline:
             "--sparsity", "0.8", "--padding", "codebook", "--out", out,
         )
         assert code == 0
+        assert stdout.startswith("event=prune ")
+        assert {"seconds", "coords_per_s"} <= {pair.split("=")[0] for pair in stdout.split()}
         pruned = sp.load_pruned(out)
         assert pruned.padding == sp.CODEBOOK
         assert pruned.codebook is not None
@@ -561,10 +566,25 @@ def _model_file(kind=sp.DEEPFM, offsets=(0, 2, 4, 7), layers=((3, 9), (3, 3), (1
     return ser.seal(w.getvalue())
 
 
+def _flip_padding_code(pruned):
+    """pruned's file with its padding code flipped between 0 (zero) and 1
+    (codebook) and the CRC recomputed; the sections stay as written."""
+    body = bytearray(pruned.to_bytes()[len(ser.MAGIC) + 4 : -4])
+    at = 2 + 8 * 3 + 8 * pruned.offsets.shape[0]  # kind and backbone tags, m, n, d, offsets
+    body[at] ^= 1
+    return ser.seal(bytes(body))
+
+
 def _codebook_padding_without_codebook(files):
     pruned = sp.load_pruned(files["pruned"])
-    pruned.padding = sp.CODEBOOK  # written as padding code 1, no codebook section
-    return pruned.to_bytes()
+    assert pruned.codebook is None  # the toy pipeline prunes with zero padding
+    return _flip_padding_code(pruned)
+
+
+def _zero_padding_with_codebook(files):
+    pruned = sp.load_pruned(files["pruned"])
+    pruned.codebook = sp.Codebook(np.zeros((3, 3)))  # written as code 1 with its section
+    return _flip_padding_code(pruned)
 
 
 def _scores_file(files, n=7, nan=False):
@@ -597,6 +617,9 @@ MALFORMED = {
     ),
     "codebook_padding_without_codebook": (
         sp.load_pruned, _codebook_padding_without_codebook, "codebook section"
+    ),
+    "zero_padding_with_codebook": (
+        sp.load_pruned, _zero_padding_with_codebook, "codebook section"
     ),
     "scores_section_length": (
         sp.AttributionScores.load, lambda files: _scores_file(files, n=8), "n \\* d values"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import shapprune as sp
 from shapprune.serialization import CheckpointError
 
-from helpers import flat_fm_model, lexsort_prune_order, pairwise_auc_reference
+from helpers import flat_fm_model, lexsort_prune_order, pairwise_auc_reference, reference_csr
 
 
 class TestParameterBudget:
@@ -49,9 +49,10 @@ class TestPrune:
 
     def test_kept_values_copied_bit_for_bit(self, toy_model, toy_exact_scores):
         pruned = sp.prune(toy_model, toy_exact_scores, 0.5)
-        rows = np.repeat(np.arange(pruned.n), np.diff(pruned.row_ptr))
+        kept = ~pruned.flags
         assert np.array_equal(
-            pruned.csr_values, toy_model.embedding.values[rows, pruned.col_idx]
+            pruned.effective_values()[kept].view(np.int64),
+            toy_model.embedding.values[kept].view(np.int64),
         )
 
     def test_zero_sparsity_is_bit_exact(self, toy_model, toy_exact_scores, toy_corpus):
@@ -351,6 +352,95 @@ class TestPrunedSerialization:
             sp.load_pruned(path)
 
 
+def _csr_section(blob):
+    """The CSR section payload of a pruned file."""
+    from shapprune import serialization as ser
+    from shapprune.model import read_backbone, read_head
+
+    r = ser.unseal(blob)
+    ser.expect_kind(r, ser.TAG_PRUNED, "a pruned model")
+    head = read_head(r)
+    r.u8()
+    r.f64()
+    read_backbone(r, head)
+    return dict(r.sections())[ser.SECTION_CSR]
+
+
+def _flags(pattern, n, d):
+    """A bool (n, d) pruned-flag array of the named pattern."""
+    rng = np.random.default_rng(5)
+    if pattern == "empty_and_full_rows":
+        flags = np.zeros((n, d), bool)
+        flags[::3] = True  # emptied rows; rows 1, 4, ... partial; rows 2, 5, ... full
+        flags[1::3] = rng.random((len(range(1, n, 3)), d)) < 0.5
+        return flags
+    fraction = {"nothing_pruned": 0.0, "everything_pruned": 1.0, "random": 0.6}[pattern]
+    return rng.random((n, d)) < fraction
+
+
+class TestCsrCodec:
+    """to_bytes writes the CSR section a nonzero-and-gather reference
+    assembles, and from_bytes reads back the imputed table bit for bit."""
+
+    @pytest.mark.parametrize("padding", [sp.ZERO, sp.CODEBOOK])
+    @pytest.mark.parametrize(
+        "pattern", ["nothing_pruned", "everything_pruned", "empty_and_full_rows", "random"]
+    )
+    def test_matches_reference_encoder(self, pattern, padding):
+        model, ds = flat_fm_model(3, 4, 5, seed=7)
+        table = model.embedding.values
+        table[::2, 1] = -0.0
+        offsets = model.embedding.offsets
+        flags = _flags(pattern, *table.shape)
+        codebook = None
+        if padding == sp.CODEBOOK:
+            codebook = sp.compute_codebook(model, ds)
+            codebook.values[0, 0] = -0.0
+        fill = sp.ZERO if codebook is None else codebook
+        pruned = sp.PrunedModel(
+            flags, sp.impute(table, offsets, flags, fill), offsets, model.backbone, codebook, 0.5
+        )
+        blob = pruned.to_bytes()
+        assert _csr_section(blob) == reference_csr(flags, table)
+        back = sp.PrunedModel.from_bytes(blob)
+        assert back.padding == padding
+        assert np.array_equal(back.flags, flags)
+        assert back.effective_values().tobytes() == sp.impute(table, offsets, flags, fill).tobytes()
+
+
+class TestLayoutCheck:
+    """A model and a dataset over different vocabulary layouts are refused,
+    not scored through the wrong rows."""
+
+    @staticmethod
+    def mismatched():
+        """Toy FM over offsets [0, 2, 4, 7] and a dataset over [0, 3, 5, 8]
+        whose ids all fall inside the model's 7 rows."""
+        schema = sp.FieldSchema.categorical(3)
+        model_vocab = sp.Vocabulary(schema, ({"a": 0}, {"c": 0}, {"d": 0, "e": 1}), 0)
+        model = sp.init_model(model_vocab, sp.TrainConfig(backbone=sp.FM, dim=2, seed=1))
+        vocab = sp.Vocabulary(schema, ({"a": 0, "b": 1}, {"c": 0}, {"d": 0, "e": 1}), 0)
+        ids = np.array([[0, 3, 5], [1, 4, 6], [2, 3, 5], [0, 4, 6]])
+        ds = sp.dataset_from_encoded(ids, np.array([1, 0, 1, 0]), vocab)
+        return model, ds
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda model, ds: sp.compute_codebook(model, ds),
+            lambda model, ds: sp.evaluate(model, ds),
+            lambda model, ds: sp.prune_curve(model, sp.score_magnitude(model), [0.5], ds),
+            lambda model, ds: sp.train(ds, sp.TrainConfig(backbone=sp.FM, dim=2), init=model),
+        ],
+        ids=["compute_codebook", "evaluate", "prune_curve", "train_init"],
+    )
+    def test_mismatched_layout_is_refused(self, call):
+        model, ds = self.mismatched()
+        assert model.embedding.n == 7 and (ds.ids < 7).all()  # every lookup is in range
+        with pytest.raises(ValueError, match="do not share a vocabulary layout"):
+            call(model, ds)
+
+
 class TestCompression:
     def test_high_sparsity_shrinks_embedding_storage_ten_fold(self):
         model, ds = flat_fm_model(6, 40, 64, seed=3)
@@ -359,7 +449,7 @@ class TestCompression:
         scores = sp.score_magnitude(model)
         pruned = sp.prune(model, scores, 0.95, frequencies=ds.frequencies)
         dense_bytes = n * d * 8
-        csr_bytes = pruned.row_ptr.size * 8 + pruned.col_idx.size * 4 + pruned.csr_values.size * 8
+        csr_bytes = (pruned.n + 1) * 8 + 12 * pruned.kept_count
         assert dense_bytes >= 10 * csr_bytes
         from shapprune.model import model_to_bytes
 
