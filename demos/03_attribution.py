@@ -34,12 +34,17 @@ for passes in (1, 4, 16, 64):
 
 # the estimator is exactly efficient for any number of passes: summed scores
 # equal the average loss jump from removing everything, because each sampled
-# walk telescopes from the full model to the empty one
+# walk telescopes from the full model to the empty one, here a copy of the
+# model whose table is all zero
 est = sp.estimate_shapley(model, ds, passes=2, seed=5)
-jump = []
-for inst in ds:
-    removal = np.ones((inst.field_count, model.embedding.d), bool)
-    jump.append(sp.removal_loss_delta(model, inst, removal))
+zeroed = sp.Model(
+    sp.EmbeddingTable(np.zeros_like(model.embedding.values), model.embedding.offsets),
+    model.backbone,
+    model.vocab,
+)
+jump = sp.log_loss(sp.predict_proba(zeroed, ds.ids), ds.labels) - sp.log_loss(
+    sp.predict_proba(model, ds.ids), ds.labels
+)
 print(f"\nsum of scores       {est.values.sum():+.12f}")
 print(f"mean full-removal   {np.mean(jump):+.12f}")
 

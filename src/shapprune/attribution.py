@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import serialization as ser
-from .data import Dataset, Instance
+from .data import Dataset
 from .model import (
     DEEPFM,
     Model,
@@ -48,7 +48,6 @@ from .model import (
     _linear_term,
     _mlp_tail,
     _pairwise,
-    embed_lookup,
     log_loss,
 )
 
@@ -147,22 +146,6 @@ def _removal_losses(model: Model, ids: np.ndarray, label, removed: np.ndarray):
     active rows is zeroed."""
     emb = model.embedding.values[ids] * ~removed
     return log_loss(expit(_forward(model.backbone, ids, emb)[0]), label)
-
-
-def removal_loss_delta(model: Model, instance: Instance, removal: np.ndarray) -> float:
-    """Loss increase from zeroing the removed coordinates of this instance's
-    active rows: loss(masked) - loss(unmasked). removal is a bool (m, d)
-    array, True where a (field, column) coordinate is removed. Empty removal
-    gives exactly 0."""
-    embed_lookup(model, instance)  # range check
-    ids = np.asarray(instance.feature_ids)
-    base = _removal_losses(model, ids, instance.label, np.zeros((1, *removal.shape), bool))
-    return float(_removal_losses(model, ids, instance.label, removal[None])[0] - base[0])
-
-
-def _check_compatible(model: Model, dataset: Dataset) -> None:
-    if not dataset.vocab.matches(model.embedding.n, model.embedding.offsets):
-        raise ValueError("model and dataset do not share a vocabulary layout")
 
 
 def _visit_blocks(total_visits: int):
@@ -270,7 +253,7 @@ def estimate_shapley(
     identical scores for any `threads`; the forward counter in the result is
     always (m * d + 1) * len(dataset) * passes.
     """
-    _check_compatible(model, dataset)
+    dataset.vocab.check_layout(model.embedding.n, model.embedding.offsets)
     if passes < 1:
         raise ValueError("passes must be at least 1")
     if threads < 1:
@@ -303,11 +286,17 @@ def _subset_weights(md: int) -> np.ndarray:
     return np.array([1.0 / (md * math.comb(md - 1, s)) for s in range(md)])
 
 
-def exact_shapley_local(model: Model, instance: Instance) -> np.ndarray:
-    """Exact field-level Shapley values of one instance, shape (m, d), by
-    full subset enumeration. Refuses instances with m * d > 22."""
-    m, d = embed_lookup(model, instance).shape
-    ids = np.asarray(instance.feature_ids)
+def exact_shapley_local(model: Model, ids: np.ndarray, label) -> np.ndarray:
+    """Exact field-level Shapley values of one encoded row, its active ids
+    (m,) and label, shape (m, d), by full subset enumeration. Refuses ids
+    outside their fields' blocks and rows with m * d > 22."""
+    ids = np.asarray(ids)
+    off = model.embedding.offsets
+    if ids.shape != (model.embedding.field_count,):
+        raise ValueError("instance has the wrong number of fields")
+    if (ids < off[:-1]).any() or (ids >= off[1:]).any():
+        raise ValueError("feature id outside its field's block")
+    m, d = ids.shape[0], model.embedding.d
     md = m * d
     if md > EXACT_PLAYER_LIMIT:
         raise ValueError(
@@ -323,7 +312,7 @@ def exact_shapley_local(model: Model, instance: Instance) -> np.ndarray:
         removed = ((ints[:, None] >> bits_template) & 1).astype(bool)
         pop[start : start + ints.shape[0]] = removed.sum(axis=1)
         u[start : start + ints.shape[0]] = _removal_losses(
-            model, ids, instance.label, removed.reshape(-1, m, d)
+            model, ids, label, removed.reshape(-1, m, d)
         )
     u -= u[0]
     weights = _subset_weights(md)
@@ -339,7 +328,7 @@ def exact_shapley_global(model: Model, dataset: Dataset) -> AttributionScores:
     """Dataset-averaged exact attribution: per-instance exact values scattered
     onto active feature rows and divided by len(dataset). Duplicate instances
     are evaluated once and reused."""
-    _check_compatible(model, dataset)
+    dataset.vocab.check_layout(model.embedding.n, model.embedding.offsets)
     n, d = model.embedding.values.shape
     phi = np.zeros((n, d))
     cache: dict = {}
@@ -348,7 +337,7 @@ def exact_shapley_global(model: Model, dataset: Dataset) -> AttributionScores:
         key = (dataset.ids[k].tobytes(), int(dataset.labels[k]))
         local = cache.get(key)
         if local is None:
-            local = exact_shapley_local(model, dataset.instance(k))
+            local = exact_shapley_local(model, dataset.ids[k], dataset.labels[k])
             md = local.size
             forwards += 1 << md
             cache[key] = local
@@ -372,7 +361,7 @@ def score_magnitude(model: Model) -> AttributionScores:
 def score_taylor(model: Model, dataset: Dataset, batch_size: int = 8192) -> AttributionScores:
     """First-order importance: |entry * average gradient of the loss at that
     entry| over the dataset."""
-    _check_compatible(model, dataset)
+    dataset.vocab.check_layout(model.embedding.n, model.embedding.offsets)
     grad_sum = np.zeros_like(model.embedding.values)
     for start in range(0, len(dataset), batch_size):
         ids = dataset.ids[start : start + batch_size]

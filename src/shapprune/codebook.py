@@ -42,8 +42,7 @@ def compute_codebook(model, dataset) -> Codebook:
     the dataset it will be pruned against."""
     values = model.embedding.values
     offsets = model.embedding.offsets
-    if not dataset.vocab.matches(values.shape[0], offsets):
-        raise ValueError("model and dataset do not share a vocabulary layout")
+    dataset.vocab.check_layout(values.shape[0], offsets)
     freq = dataset.frequencies.astype(np.float64)
     m, d = offsets.shape[0] - 1, values.shape[1]
     out = np.empty((m, d))

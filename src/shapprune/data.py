@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import serialization as ser
+from .codebook import fields_from_offsets
 
 CATEGORICAL = "categorical"
 NUMERIC_BUCKETED = "numeric-bucketed"
@@ -161,6 +162,13 @@ class Vocabulary:
         """Whether this vocabulary lays out an n-row table split at offsets."""
         return self.n == n and np.array_equal(self.offsets, offsets)
 
+    def check_layout(self, n: int, offsets: np.ndarray) -> None:
+        """Raise ValueError unless a model's n-row table split at offsets is
+        laid out by this vocabulary, so a dataset it encoded reads the
+        right rows."""
+        if not self.matches(n, offsets):
+            raise ValueError("model and dataset do not share a vocabulary layout")
+
     @property
     def field_sizes(self) -> tuple[int, ...]:
         return tuple(len(t) + 1 for t in self.tables)
@@ -168,7 +176,7 @@ class Vocabulary:
     @cached_property
     def feature_fields(self) -> np.ndarray:
         """(n,) array mapping each feature id to its field index."""
-        return np.repeat(np.arange(self.field_count), np.diff(self.offsets))
+        return fields_from_offsets(self.offsets)
 
     def oov_id(self, field: int) -> int:
         return int(self.offsets[field + 1]) - 1
@@ -256,28 +264,13 @@ def build_vocabulary(raw_rows, schema: FieldSchema, min_count: int = 0) -> Vocab
 
 
 @dataclass(frozen=True)
-class Instance:
-    """One encoded row: a binary label and one active feature id per field."""
-
-    label: int
-    feature_ids: np.ndarray
-
-    @property
-    def field_count(self) -> int:
-        return int(self.feature_ids.shape[0])
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Encoded instances plus the per-feature frequency table.
-
-    ids[k, j] is the active feature of field j in instance k. frequencies[i]
-    counts appearances of feature i, so each field's block sums to len(self).
-    """
+    """Encoded rows: ids[k, j] is the active feature of field j in row k and
+    labels[k] is row k's label. Every pipeline stage reads rows through
+    these two arrays."""
 
     ids: np.ndarray
     labels: np.ndarray
-    frequencies: np.ndarray
     vocab: Vocabulary
 
     def __post_init__(self):
@@ -293,19 +286,15 @@ class Dataset:
             raise DataError("labels must be 0 or 1")
         if (ids < off[:-1]).any() or (ids >= off[1:]).any():
             raise DataError("feature id outside its field's block")
-        expect = np.bincount(ids.ravel(), minlength=self.vocab.n).astype(np.int64)
-        if self.frequencies.shape != (self.vocab.n,) or (self.frequencies != expect).any():
-            raise DataError("frequency table inconsistent with instances")
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
 
-    def instance(self, k: int) -> Instance:
-        return Instance(int(self.labels[k]), self.ids[k])
-
-    def __iter__(self):
-        for k in range(len(self)):
-            yield self.instance(k)
+    @cached_property
+    def frequencies(self) -> np.ndarray:
+        """(n,) appearance count of each feature id; each field's block sums
+        to len(self)."""
+        return np.bincount(self.ids.ravel(), minlength=self.vocab.n).astype(np.int64)
 
     def fingerprint(self) -> int:
         """CRC32 over the encoded instances; identifies the exact dataset."""
@@ -325,10 +314,7 @@ class Dataset:
 
 
 def dataset_from_encoded(ids: np.ndarray, labels: np.ndarray, vocab: Vocabulary) -> Dataset:
-    ids = np.asarray(ids, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    freq = np.bincount(ids.ravel(), minlength=vocab.n).astype(np.int64) if ids.size else np.zeros(vocab.n, np.int64)
-    return Dataset(ids, labels, freq, vocab)
+    return Dataset(np.asarray(ids, dtype=np.int64), np.asarray(labels, dtype=np.int64), vocab)
 
 
 def encode_rows(raw_rows, vocab: Vocabulary) -> Dataset:
@@ -355,9 +341,9 @@ def decode_rows(dataset: Dataset) -> list:
     ids decode to a representative raw value of their bucket."""
     schema = dataset.vocab.schema
     out = []
-    for inst in dataset:
-        row = [str(inst.label)]
-        for j, fid in enumerate(inst.feature_ids):
+    for ids, label in zip(dataset.ids, dataset.labels):
+        row = [str(label)]
+        for j, fid in enumerate(ids):
             token = dataset.vocab.token_of(int(fid))
             if schema.kinds[j] == NUMERIC_BUCKETED and token not in (OOV_TOKEN, MISSING_TOKEN):
                 try:

@@ -34,7 +34,7 @@ from scipy.special import expit
 
 from . import serialization as ser
 from .codebook import Codebook, codebook_from_section, codebook_section_payload, impute
-from .data import Vocabulary, Instance
+from .data import Vocabulary
 
 EPS = 1e-7
 # Adam moment decay rates and denominator offset
@@ -227,24 +227,6 @@ def predict_proba_values(values, backbone, ids_matrix, batch_size: int = 8192) -
     return out
 
 
-def embed_lookup(model: Model, instance: Instance) -> np.ndarray:
-    """Copy of the m active embedding rows, shape (m, d)."""
-    ids = np.asarray(instance.feature_ids)
-    off = model.embedding.offsets
-    if ids.shape != (model.embedding.field_count,):
-        raise ValueError("instance has the wrong number of fields")
-    if (ids < off[:-1]).any() or (ids >= off[1:]).any():
-        raise ValueError("feature id outside its field's block")
-    return model.embedding.values[ids].copy()
-
-
-def forward(model: Model, instance: Instance) -> float:
-    """Clamped click probability for one instance."""
-    emb = embed_lookup(model, instance)
-    z = _forward(model.backbone, np.asarray(instance.feature_ids), emb[None])[0]
-    return float(clamp_probability(expit(z))[0])
-
-
 def log_loss(prediction, label):
     """Binary cross entropy with predictions clamped to [EPS, 1-EPS].
     Elementwise; returns a float for scalar inputs."""
@@ -256,9 +238,9 @@ def log_loss(prediction, label):
 
 @dataclass
 class Gradients:
-    """Gradients of a loss with respect to every parameter. backward gives
-    every array the shape of its parameter; _batch_gradients gives the
-    embedding and linear parts only at the rows the batch touches."""
+    """Gradients of a mini-batch loss: the embedding and linear parts hold
+    only the rows the batch touches (see _batch_gradients); the bias and the
+    MLP layers are full."""
 
     embedding: np.ndarray
     linear: np.ndarray
@@ -300,8 +282,8 @@ def _batch_gradients(values, backbone, ids, labels, scale=None):
     each touched row's is bitwise what np.add.at into a zero table gives
     (see _row_sums).
 
-    scale defaults to 1/B so gradients match the mean loss; pass 1.0 for a
-    single instance to get that instance's own gradient. Raises
+    scale defaults to 1/B so gradients match the mean loss; pass 1.0 for
+    the gradient of the summed loss. Raises
     NonFiniteError when a score goes non-finite.
     """
     B, m = ids.shape
@@ -339,22 +321,6 @@ def _batch_gradients(values, backbone, ids, labels, scale=None):
 
     grad_block = _row_sums(where, rows.shape[0], demb.reshape(-1, d))
     return loss, rows, Gradients(grad_block, grad_linear, grad_bias, grad_layers)
-
-
-def backward(model: Model, instance: Instance) -> Gradients:
-    """Exact analytic gradient of this instance's log loss with respect to
-    every parameter. Embedding rows the instance does not touch come back
-    with zero gradient."""
-    embed_lookup(model, instance)  # range check
-    ids = np.asarray(instance.feature_ids)[None, :]
-    labels = np.array([instance.label])
-    values = model.embedding.values
-    _, rows, grads = _batch_gradients(values, model.backbone, ids, labels, scale=1.0)
-    embedding = np.zeros_like(values)
-    embedding[rows] = grads.embedding
-    linear = np.zeros_like(model.backbone.linear)
-    linear[rows] = grads.linear
-    return Gradients(embedding, linear, grads.bias, grads.layers)
 
 
 def _views(flat: np.ndarray, layers) -> list:
@@ -395,8 +361,8 @@ def train(
     gradients are zeroed, so they never move. The input model is not
     modified; a trained copy is returned.
     """
-    if init is not None and not dataset.vocab.matches(init.embedding.n, init.embedding.offsets):
-        raise ValueError("model and dataset do not share a vocabulary layout")
+    if init is not None:
+        dataset.vocab.check_layout(init.embedding.n, init.embedding.offsets)
     model = copy.deepcopy(init) if init is not None else init_model(dataset.vocab, config)
     table = model.embedding
     backbone = model.backbone

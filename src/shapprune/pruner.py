@@ -266,8 +266,7 @@ def evaluate(target, dataset: Dataset) -> EvalReport:
     else:
         values, offsets = target.embedding.values, target.embedding.offsets
         blob = model_to_bytes(target)
-    if not dataset.vocab.matches(values.shape[0], offsets):
-        raise ValueError("model and dataset do not share a vocabulary layout")
+    dataset.vocab.check_layout(values.shape[0], offsets)
     predictions = predict_proba_values(values, target.backbone, dataset.ids)
     losses = log_loss(predictions, dataset.labels.astype(np.float64))
     auc = auc_rank(dataset.labels, predictions)

@@ -23,6 +23,14 @@ from scipy.special import expit
 
 from .data import FieldSchema
 
+ZIPF_EXPONENT = 1.05
+LATENT_RANK = 4
+NOISE_SCALE = 0.05
+STRONG_SCALE = 1.4
+# strong tokens are planted among the popular head so the trained model
+# actually encounters them; the tail stays noise
+STRONG_POOL_FRACTION = 0.3
+
 
 @dataclass(frozen=True)
 class SyntheticConfig:
@@ -30,13 +38,6 @@ class SyntheticConfig:
     tokens_per_field: tuple = (400, 400, 400, 400, 400)
     rows: int = 50_000
     seed: int = 0
-    zipf_exponent: float = 1.05
-    latent_rank: int = 4
-    noise_scale: float = 0.05
-    strong_scale: float = 1.4
-    # strong tokens are planted among the popular head so the trained model
-    # actually encounters them; the tail stays noise
-    strong_pool_fraction: float = 0.3
 
     def __post_init__(self):
         if len(self.tokens_per_field) != self.fields:
@@ -57,14 +58,14 @@ def synthetic_rows(config: SyntheticConfig) -> list:
     effects = []
     for j in range(m):
         size = config.tokens_per_field[j]
-        popularity = (1.0 + np.arange(size)) ** -config.zipf_exponent
+        popularity = (1.0 + np.arange(size)) ** -ZIPF_EXPONENT
         popularity /= popularity.sum()
         token_idx.append(rng.choice(size, size=config.rows, p=popularity))
-        theta = rng.normal(0.0, config.noise_scale, (size, config.latent_rank))
+        theta = rng.normal(0.0, NOISE_SCALE, (size, LATENT_RANK))
         beta = np.zeros(size)
-        pool = max(2, int(size * config.strong_pool_fraction))
+        pool = max(2, int(size * STRONG_POOL_FRACTION))
         strong = rng.choice(pool, size=max(2, size // 20), replace=False)
-        theta[strong] = rng.normal(0.0, config.strong_scale, (strong.shape[0], config.latent_rank))
+        theta[strong] = rng.normal(0.0, STRONG_SCALE, (strong.shape[0], LATENT_RANK))
         beta[strong] = rng.normal(0.0, 1.2, strong.shape[0])
         latents.append(theta)
         effects.append(beta)

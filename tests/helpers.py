@@ -78,11 +78,12 @@ def naive_log_loss(model, feature_ids, label):
     return -math.log(p) if label == 1 else -math.log(1.0 - p)
 
 
-def masked_log_loss(model, instance, kept_coords):
-    """Loss after zeroing every embedding coordinate outside ``kept_coords``.
+def masked_log_loss(model, ids, label, kept_coords):
+    """Loss of one encoded row (its active ``ids`` and ``label``) after
+    zeroing every embedding coordinate outside ``kept_coords``.
 
     ``kept_coords`` is a set of (feature_id, column) pairs.  Coordinates of
-    features that do not appear in the instance are irrelevant to the score.
+    features that do not appear in the row are irrelevant to the score.
     """
     saved = model.embedding.values.copy()
     masked = np.zeros_like(saved)
@@ -90,26 +91,25 @@ def masked_log_loss(model, instance, kept_coords):
         masked[row, col] = saved[row, col]
     model.embedding.values[...] = masked
     try:
-        return naive_log_loss(model, instance.feature_ids, instance.label)
+        return naive_log_loss(model, ids, label)
     finally:
         model.embedding.values[...] = saved
 
 
-def exact_local_shapley_reference(model, instance, dim):
-    """Per-coordinate Shapley values for one instance by direct enumeration.
+def exact_local_shapley_reference(model, ids, label, dim):
+    """Per-coordinate Shapley values for one encoded row by direct enumeration.
 
-    Players are the md coordinates of the instance's own embedding rows.
+    Players are the md coordinates of the row's own embedding rows.
     The value of a coalition is the loss drop obtained by keeping exactly
     that coalition and zeroing the rest, relative to keeping nothing.
     Uses the subset-weight form of the Shapley value.
     """
-    ids = list(instance.feature_ids)
     players = [(fid, col) for fid in ids for col in range(dim)]
     md = len(players)
     value = {}
     for bits in range(1 << md):
         kept = {players[k] for k in range(md) if bits >> k & 1}
-        value[bits] = masked_log_loss(model, instance, kept)
+        value[bits] = masked_log_loss(model, ids, label, kept)
     base = value[0]
     phi = np.zeros((len(ids), dim))
     for k, (fid, col) in enumerate(players):
@@ -126,35 +126,34 @@ def exact_local_shapley_reference(model, instance, dim):
     return phi
 
 
-def permutation_shapley_reference(model, instance, dim):
+def permutation_shapley_reference(model, ids, label, dim):
     """Same attribution as ``exact_local_shapley_reference`` via permutations."""
-    ids = list(instance.feature_ids)
     players = [(fid, col) for fid in ids for col in range(dim)]
     md = len(players)
     phi = np.zeros((len(ids), dim))
-    full = masked_log_loss(model, instance, set(players))
+    full = masked_log_loss(model, ids, label, set(players))
     for order in itertools.permutations(range(md)):
         kept = set(players)
         before = full
         for k in order:
             kept.discard(players[k])
-            after = masked_log_loss(model, instance, kept)
+            after = masked_log_loss(model, ids, label, kept)
             phi[k // dim, k % dim] += after - before
             before = after
     return phi / math.factorial(md)
 
 
-def table_game_exact_shapley(model, instance, dim, n_rows):
+def table_game_exact_shapley(model, ids, label, dim, n_rows):
     """Shapley values of the full-table game with n*d coordinate players.
 
     Every coordinate of the embedding table is a player, including rows of
-    features absent from the instance.  Only usable for tiny tables.
+    features absent from the row (ids, label).  Only usable for tiny tables.
     """
     nd = n_rows * dim
     losses = np.empty(1 << nd)
     for bits in range(1 << nd):
         kept = {(k // dim, k % dim) for k in range(nd) if bits >> k & 1}
-        losses[bits] = masked_log_loss(model, instance, kept)
+        losses[bits] = masked_log_loss(model, ids, label, kept)
     base = losses[0]
     phi = np.zeros((n_rows, dim))
     for k in range(nd):
@@ -196,6 +195,20 @@ def stacked_walk_shapley(model, dataset, passes, seed):
         losses = _removal_losses(model, ids, dataset.labels[inst_idx], removed)
         phi[ids] += np.diff(losses)[position].reshape(m, d)
     return phi / (passes * count)
+
+
+def full_removal_jumps(model, ids, labels):
+    """Per-row loss jump (B,) from the model to a copy of it whose table is
+    all zero, both scored through predict_proba: the payoff of removing
+    every active coordinate of each row."""
+    zeroed = sp.Model(
+        sp.EmbeddingTable(np.zeros_like(model.embedding.values), model.embedding.offsets),
+        model.backbone,
+        model.vocab,
+    )
+    return sp.log_loss(sp.predict_proba(zeroed, ids), labels) - sp.log_loss(
+        sp.predict_proba(model, ids), labels
+    )
 
 
 def dense_batch_gradients(values, backbone, ids, labels):

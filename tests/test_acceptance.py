@@ -14,12 +14,14 @@ from scipy.optimize import minimize
 
 import shapprune as sp
 
-from helpers import codebook_objective, flat_fm_model, table_game_exact_shapley, tiny_random_model
-
-
-def full_removal_delta(model, instance, dim):
-    removal = np.ones((instance.field_count, dim), bool)
-    return sp.removal_loss_delta(model, instance, removal)
+from helpers import (
+    codebook_objective,
+    dense_batch_gradients,
+    flat_fm_model,
+    full_removal_jumps,
+    table_game_exact_shapley,
+    tiny_random_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -76,18 +78,15 @@ class TestAcceptance:
         # sampled estimator: the walk marginals telescope, so the score
         # total must equal the mean full-removal loss delta
         estimate = sp.estimate_shapley(toy_model, ds, passes=3, seed=8)
-        deltas = [full_removal_delta(toy_model, inst, 3) for inst in ds]
+        deltas = full_removal_jumps(toy_model, ds.ids, ds.labels)
         walk_mean = float(np.mean(deltas))
         total = float(estimate.values.sum())
         normalized_gap = abs(total - walk_mean) / max(1.0, abs(walk_mean))
         # exact oracle: per-instance efficiency axiom
         oracle_gap = 0.0
         for k in range(len(ds)):
-            inst = ds.instance(k)
-            phi = sp.exact_shapley_local(toy_model, inst)
-            oracle_gap = max(
-                oracle_gap, abs(float(phi.sum()) - full_removal_delta(toy_model, inst, 3))
-            )
+            phi = sp.exact_shapley_local(toy_model, ds.ids[k], ds.labels[k])
+            oracle_gap = max(oracle_gap, abs(float(phi.sum()) - deltas[k]))
         ok = normalized_gap <= 1e-9 and oracle_gap <= 1e-10
         criterion(
             2,
@@ -152,10 +151,10 @@ class TestAcceptance:
         rng = np.random.default_rng(42)
         model.backbone.linear[...] = rng.normal(0.0, 0.3, 4)
         model.backbone.bias = 0.17
-        inst = sp.Instance(1, np.array([0, 2], dtype=np.int64))
+        ids = np.array([0, 2])
 
-        table_game = table_game_exact_shapley(model, inst, dim=3, n_rows=4)
-        local = sp.exact_shapley_local(model, inst)
+        table_game = table_game_exact_shapley(model, ids, 1, dim=3, n_rows=4)
+        local = sp.exact_shapley_local(model, ids, 1)
         scattered = np.zeros((4, 3))
         scattered[[0, 2]] = local
         active_gap = float(np.abs(table_game - scattered).max())
@@ -317,8 +316,9 @@ class TestAcceptance:
             model, ids, labels = tiny_random_model(
                 100 + index, kind, n_fields=3, field_size=2, dim=2
             )
-            inst = sp.Instance(int(labels[0]), ids[0])
-            grads = sp.backward(model, inst)
+            _, grads = dense_batch_gradients(
+                model.embedding.values, model.backbone, ids[:1], labels[:1]
+            )
             flat_grad = np.concatenate(
                 [grads.embedding.ravel(), grads.linear.ravel(), [grads.bias]]
                 + [g.ravel() for pair in grads.layers for g in pair]
@@ -328,10 +328,10 @@ class TestAcceptance:
                 bumped = theta.copy()
                 bumped[k] = theta[k] + h
                 write_back(bumped)
-                up = sp.log_loss(sp.forward(model, inst), inst.label)
+                up = sp.log_loss(sp.predict_proba(model, ids[:1])[0], labels[0])
                 bumped[k] = theta[k] - h
                 write_back(bumped)
-                down = sp.log_loss(sp.forward(model, inst), inst.label)
+                down = sp.log_loss(sp.predict_proba(model, ids[:1])[0], labels[0])
                 write_back(theta)
                 numeric = (up - down) / (2 * h)
                 rel = abs(flat_grad[k] - numeric) / max(

@@ -8,33 +8,37 @@ from shapprune import attribution
 from shapprune.serialization import CheckpointError
 
 from helpers import (
+    dense_batch_gradients,
     exact_local_shapley_reference,
+    full_removal_jumps,
     permutation_shapley_reference,
     stacked_walk_shapley,
     tiny_random_model,
 )
 
 
-def full_removal_delta(model, instance, dim):
-    removal = np.ones((instance.field_count, dim), bool)
-    return sp.removal_loss_delta(model, instance, removal)
+def removal_delta(model, ids, label, removal):
+    """Loss increase from zeroing the removed (field, column) coordinates of
+    one row's active embeddings: two calls of the game's payoff."""
+    payoff = attribution._removal_losses
+    empty = np.zeros_like(removal)
+    return payoff(model, ids, label, removal[None])[0] - payoff(model, ids, label, empty[None])[0]
 
 
 class TestRemovalLossDelta:
     def test_empty_removal_is_exactly_zero(self, toy_model, toy_corpus):
         _, _, _, ds = toy_corpus
         removal = np.zeros((3, 3), bool)
-        for inst in ds:
-            assert sp.removal_loss_delta(toy_model, inst, removal) == 0.0
+        for ids, label in zip(ds.ids, ds.labels):
+            assert removal_delta(toy_model, ids, label, removal) == 0.0
 
     def test_hand_worked_value(self, hand_model):
         # base: z = 6, loss = log(1 + exp(-6)); zeroing either active
         # coordinate kills the interaction term, so z = 0 and loss = log 2
-        inst = sp.Instance(1, np.array([0, 1], dtype=np.int64))
         removal = np.zeros((2, 1), bool)
         removal[0, 0] = True
         expected = math.log(2.0) - math.log1p(math.exp(-6.0))
-        assert sp.removal_loss_delta(hand_model, inst, removal) == pytest.approx(
+        assert removal_delta(hand_model, np.array([0, 1]), 1, removal) == pytest.approx(
             expected, abs=1e-15
         )
 
@@ -44,28 +48,24 @@ class TestExactLocal:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_subset_enumeration_reference(self, kind, seed):
         model, ids, labels = tiny_random_model(seed, kind, n_fields=3, field_size=2, dim=2)
-        inst = sp.Instance(int(labels[0]), ids[0])
-        ours = sp.exact_shapley_local(model, inst)
-        reference = exact_local_shapley_reference(model, inst, dim=2)
+        ours = sp.exact_shapley_local(model, ids[0], labels[0])
+        reference = exact_local_shapley_reference(model, ids[0], labels[0], dim=2)
         assert np.allclose(ours, reference, atol=1e-12)
 
     @pytest.mark.parametrize("kind", [sp.FM, sp.DEEPFM])
     def test_matches_permutation_reference(self, kind):
         # md = 4 players: 24 removal orders, averaged explicitly
         model, ids, labels = tiny_random_model(2, kind, n_fields=2, field_size=2, dim=2)
-        inst = sp.Instance(int(labels[0]), ids[0])
-        ours = sp.exact_shapley_local(model, inst)
-        reference = permutation_shapley_reference(model, inst, dim=2)
+        ours = sp.exact_shapley_local(model, ids[0], labels[0])
+        reference = permutation_shapley_reference(model, ids[0], labels[0], dim=2)
         assert np.allclose(ours, reference, atol=1e-12)
 
     def test_efficiency_axiom(self, toy_model, toy_corpus):
         _, _, _, ds = toy_corpus
+        jumps = full_removal_jumps(toy_model, ds.ids, ds.labels)
         for k in range(4):
-            inst = ds.instance(k)
-            phi = sp.exact_shapley_local(toy_model, inst)
-            assert phi.sum() == pytest.approx(
-                full_removal_delta(toy_model, inst, toy_model.embedding.d), abs=1e-10
-            )
+            phi = sp.exact_shapley_local(toy_model, ds.ids[k], ds.labels[k])
+            assert phi.sum() == pytest.approx(jumps[k], abs=1e-10)
 
     def test_symmetric_players_get_equal_credit(self):
         # duplicated embedding columns make the paired coordinates
@@ -78,7 +78,7 @@ class TestExactLocal:
             sp.BackboneParams(sp.FM, 0.1, np.zeros(2), []),
             vocab,
         )
-        phi = sp.exact_shapley_local(model, sp.Instance(1, np.array([0, 1], dtype=np.int64)))
+        phi = sp.exact_shapley_local(model, np.array([0, 1]), 1)
         assert phi[0, 0] == pytest.approx(phi[0, 1], abs=1e-14)
         assert phi[1, 0] == pytest.approx(phi[1, 1], abs=1e-14)
 
@@ -87,10 +87,9 @@ class TestExactLocal:
 
         _, _, _, ds = toy_corpus
         model = copy.deepcopy(toy_model)
-        inst = ds.instance(0)
-        fid = int(inst.feature_ids[1])
+        fid = int(ds.ids[0, 1])
         model.embedding.values[fid, 2] = 0.0
-        phi = sp.exact_shapley_local(model, inst)
+        phi = sp.exact_shapley_local(model, ds.ids[0], ds.labels[0])
         assert phi[1, 2] == 0.0
 
     def test_large_instance_refused(self, toy_corpus):
@@ -98,7 +97,13 @@ class TestExactLocal:
         config = sp.TrainConfig(backbone=sp.FM, dim=8, seed=0)
         model = sp.init_model(vocab, config)
         with pytest.raises(ValueError, match=r"m\*d = 24 > 22"):
-            sp.exact_shapley_local(model, ds.instance(0))
+            sp.exact_shapley_local(model, ds.ids[0], ds.labels[0])
+
+    def test_validates_ids(self, hand_model):
+        with pytest.raises(ValueError, match="wrong number of fields"):
+            sp.exact_shapley_local(hand_model, np.array([0]), 1)
+        with pytest.raises(ValueError, match="outside its field's block"):
+            sp.exact_shapley_local(hand_model, np.array([1, 1]), 1)
 
 
 class TestExactGlobal:
@@ -106,7 +111,7 @@ class TestExactGlobal:
         _, _, _, ds = toy_corpus
         manual = np.zeros_like(toy_model.embedding.values)
         for k in range(len(ds)):
-            manual[ds.ids[k]] += sp.exact_shapley_local(toy_model, ds.instance(k))
+            manual[ds.ids[k]] += sp.exact_shapley_local(toy_model, ds.ids[k], ds.labels[k])
         manual /= len(ds)
         assert np.allclose(toy_exact_scores.values, manual, atol=1e-14)
 
@@ -174,7 +179,7 @@ class TestEstimator:
         # loss, so the estimate's total equals the mean full-removal delta
         _, _, _, ds = toy_corpus
         scores = sp.estimate_shapley(toy_model, ds, passes=3, seed=8)
-        deltas = [full_removal_delta(toy_model, inst, 3) for inst in ds]
+        deltas = full_removal_jumps(toy_model, ds.ids, ds.labels)
         assert scores.values.sum() == pytest.approx(float(np.mean(deltas)), abs=1e-12)
 
     def test_converges_to_exact_oracle(self, toy_model, toy_corpus, toy_exact_scores):
@@ -233,9 +238,11 @@ class TestBaselines:
 
     def test_taylor_matches_per_instance_gradients(self, toy_model, toy_corpus):
         _, _, _, ds = toy_corpus
-        grad_sum = np.zeros_like(toy_model.embedding.values)
-        for inst in ds:
-            grad_sum += sp.backward(toy_model, inst).embedding
+        values, backbone = toy_model.embedding.values, toy_model.backbone
+        grad_sum = np.zeros_like(values)
+        for k in range(len(ds)):
+            _, grads = dense_batch_gradients(values, backbone, ds.ids[k][None], ds.labels[k : k + 1])
+            grad_sum += grads.embedding
         expected = np.abs(toy_model.embedding.values * grad_sum / len(ds))
         scores = sp.score_taylor(toy_model, ds)
         assert np.allclose(scores.values, expected, atol=1e-12)

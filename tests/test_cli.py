@@ -1,5 +1,6 @@
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ class TestPipeline:
             "--sparsities", "0.2,0.8", "--out", out,
         )
         assert code == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines[0] == ",".join(sp.CURVE_HEADER)
         assert len(lines) == 3
         assert "event=curve_done points=2" in stdout
@@ -262,7 +263,7 @@ class TestSynth:
         for out in (a, b):
             assert run(capsys, "synth", "--out", out, "--rows", "80",
                        "--fields", "2", "--tokens-per-field", "10", "--seed", "7")[0] == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestDeterminism:
@@ -277,7 +278,7 @@ class TestDeterminism:
                 "--method", "shapley", "--passes", "2", "--seed", "5",
             )
             assert code == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_threads_do_not_change_the_file(self, toy_files, capsys, tmp_path):
         a = str(tmp_path / "t1.shvr")
@@ -290,7 +291,7 @@ class TestDeterminism:
                 "--passes", "30", "--seed", "5", "--threads", threads,
             )
             assert code == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_different_seeds_differ(self, toy_files, capsys, tmp_path):
         a = str(tmp_path / "s0.shvr")
@@ -302,7 +303,7 @@ class TestDeterminism:
                 "--data", toy_files["data"], "--out", out,
                 "--method", "shapley", "--passes", "1", "--seed", seed,
             )[0] == 0
-        assert open(a, "rb").read() != open(b, "rb").read()
+        assert Path(a).read_bytes() != Path(b).read_bytes()
 
 
 class TestConfigFile:
@@ -420,7 +421,7 @@ class TestErrorPaths:
 
     def test_corrupt_checkpoint_is_exit_one(self, toy_files, capsys, tmp_path):
         bad = tmp_path / "bad.shvr"
-        data = bytearray(open(toy_files["model"], "rb").read())
+        data = bytearray(Path(toy_files["model"]).read_bytes())
         data[len(data) // 2] ^= 0xFF
         bad.write_bytes(bytes(data))
         code, _, stderr = run(

@@ -240,7 +240,7 @@ class TestDatasetValidation:
         vocab, ids, labels = self.small()
         ds = sp.dataset_from_encoded(ids, labels, vocab)
         assert len(ds) == 2
-        assert ds.instance(1).label == 0
+        assert ds.labels[1] == 0
 
     def test_id_outside_field_block(self):
         vocab, ids, labels = self.small()
@@ -253,12 +253,6 @@ class TestDatasetValidation:
         labels[0] = 2
         with pytest.raises(sp.DataError, match="labels must be 0 or 1"):
             sp.dataset_from_encoded(ids, labels, vocab)
-
-    def test_inconsistent_frequencies(self):
-        vocab, ids, labels = self.small()
-        freq = np.zeros(vocab.n, dtype=np.int64)
-        with pytest.raises(sp.DataError, match="frequency table inconsistent"):
-            sp.Dataset(ids, labels, freq, vocab)
 
     def test_empty_rejected(self):
         vocab, ids, labels = self.small()
@@ -319,9 +313,9 @@ class TestDatasetProperties:
         vocab = sp.build_vocabulary(rows, sp.FieldSchema.categorical(m))
         ds = sp.encode_rows(rows, vocab)
         off = vocab.offsets
-        for inst in ds:
-            assert inst.feature_ids.shape == (m,)
-            for j, fid in enumerate(inst.feature_ids):
+        for row in ds.ids:
+            assert row.shape == (m,)
+            for j, fid in enumerate(row):
                 assert off[j] <= fid < off[j + 1]
 
     @given(encoded_rows())

@@ -11,39 +11,40 @@ from shapprune.serialization import CheckpointError
 from helpers import (
     batch_loss_mean,
     dense_adam_train,
+    dense_batch_gradients,
     flatten_params,
     naive_predict_proba,
     tiny_random_model,
 )
 
 SIGMOID_SIX = 1.0 / (1.0 + math.exp(-6.0))
+# the hand model's one row: both fields' fallback ids
+HAND_IDS = np.array([[0, 1]], dtype=np.int64)
 
 
 class TestForward:
     def test_hand_worked_fm(self, hand_model):
         # embeddings [2] and [3], everything else zero: z = 2 * 3 = 6
-        inst = sp.Instance(1, np.array([0, 1], dtype=np.int64))
-        assert sp.forward(hand_model, inst) == pytest.approx(SIGMOID_SIX, abs=1e-15)
+        assert sp.predict_proba(hand_model, HAND_IDS)[0] == pytest.approx(SIGMOID_SIX, abs=1e-15)
 
     def test_zero_model_predicts_half(self, hand_model):
         hand_model.embedding.values[...] = 0.0
-        inst = sp.Instance(0, np.array([0, 1], dtype=np.int64))
-        assert sp.forward(hand_model, inst) == 0.5
+        assert sp.predict_proba(hand_model, HAND_IDS)[0] == 0.5
 
     def test_linear_and_bias_enter_the_score(self, hand_model):
         hand_model.backbone.bias = 0.25
         hand_model.backbone.linear[...] = [0.5, -1.0]
-        inst = sp.Instance(1, np.array([0, 1], dtype=np.int64))
         z = 0.25 + 0.5 - 1.0 + 6.0
-        assert sp.forward(hand_model, inst) == pytest.approx(1 / (1 + math.exp(-z)), abs=1e-15)
+        assert sp.predict_proba(hand_model, HAND_IDS)[0] == pytest.approx(
+            1 / (1 + math.exp(-z)), abs=1e-15
+        )
 
     @pytest.mark.parametrize("kind", [sp.FM, sp.DEEPFM])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_loop_reference(self, kind, seed):
         model, ids, _ = tiny_random_model(seed, kind, n_fields=4, field_size=3, dim=3)
         for row in ids:
-            inst = sp.Instance(1, row)
-            assert sp.forward(model, inst) == pytest.approx(
+            assert sp.predict_proba(model, row[None])[0] == pytest.approx(
                 naive_predict_proba(model, row), abs=1e-12
             )
 
@@ -53,44 +54,29 @@ class TestForward:
         big = sp.predict_proba(model, ids, batch_size=10_000)
         assert np.array_equal(small, big)
         for k, row in enumerate(ids):
-            assert small[k] == pytest.approx(sp.forward(model, sp.Instance(0, row)), abs=1e-15)
+            assert small[k] == pytest.approx(sp.predict_proba(model, row[None])[0], abs=1e-15)
 
     def test_probabilities_are_clamped(self, hand_model):
         hand_model.embedding.values[...] = [[200.0], [300.0]]
-        inst = sp.Instance(1, np.array([0, 1], dtype=np.int64))
-        assert sp.forward(hand_model, inst) == 1.0 - 1e-7
-
-    def test_embed_lookup_returns_a_copy(self, hand_model):
-        inst = sp.Instance(1, np.array([0, 1], dtype=np.int64))
-        emb = sp.embed_lookup(hand_model, inst)
-        emb[...] = 0.0
-        assert hand_model.embedding.values[0, 0] == 2.0
-
-    def test_embed_lookup_validates_ids(self, hand_model):
-        with pytest.raises(ValueError, match="wrong number of fields"):
-            sp.embed_lookup(hand_model, sp.Instance(1, np.array([0], dtype=np.int64)))
-        with pytest.raises(ValueError, match="outside its field's block"):
-            sp.embed_lookup(hand_model, sp.Instance(1, np.array([1, 1], dtype=np.int64)))
+        assert sp.predict_proba(hand_model, HAND_IDS)[0] == 1.0 - 1e-7
 
 
 class TestNonFinite:
     def test_embedding_stage_named(self, hand_model):
         hand_model.embedding.values[0, 0] = np.nan
-        inst = sp.Instance(1, np.array([0, 1], dtype=np.int64))
         with pytest.raises(sp.NonFiniteError, match="embedding stage"):
-            sp.forward(hand_model, inst)
+            sp.predict_proba(hand_model, HAND_IDS)
 
     def test_linear_stage_named(self, hand_model):
         hand_model.backbone.linear[0] = np.inf
-        inst = sp.Instance(1, np.array([0, 1], dtype=np.int64))
         with pytest.raises(sp.NonFiniteError, match="linear stage"):
-            sp.forward(hand_model, inst)
+            sp.predict_proba(hand_model, HAND_IDS)
 
     def test_mlp_stage_named(self):
         model, ids, _ = tiny_random_model(0, sp.DEEPFM)
         model.backbone.layers[0][0][0, 0] = np.nan
         with pytest.raises(sp.NonFiniteError, match="mlp stage"):
-            sp.forward(model, sp.Instance(1, ids[0]))
+            sp.predict_proba(model, ids[:1])
 
 
 class TestLogLoss:
@@ -122,7 +108,9 @@ class TestLogLoss:
 class TestBackward:
     def test_bias_gradient_zero_model(self, hand_model):
         hand_model.embedding.values[...] = 0.0
-        grads = sp.backward(hand_model, sp.Instance(1, np.array([0, 1], dtype=np.int64)))
+        _, grads = dense_batch_gradients(
+            hand_model.embedding.values, hand_model.backbone, HAND_IDS, np.array([1])
+        )
         # p = 0.5, label 1: dL/dz = p - y = -0.5, and dz/db = 1
         assert grads.bias == pytest.approx(-0.5, abs=1e-15)
 
@@ -130,8 +118,7 @@ class TestBackward:
     @pytest.mark.parametrize("seed", [3, 4])
     def test_matches_central_differences(self, kind, seed):
         model, ids, labels = tiny_random_model(seed, kind, n_fields=3, field_size=2, dim=2)
-        inst = sp.Instance(int(labels[0]), ids[0])
-        grads = sp.backward(model, inst)
+        _, grads = dense_batch_gradients(model.embedding.values, model.backbone, ids[:1], labels[:1])
         flat_grad = np.concatenate(
             [grads.embedding.ravel(), grads.linear.ravel(), [grads.bias]]
             + [g.ravel() for pair in grads.layers for g in pair]
@@ -142,18 +129,17 @@ class TestBackward:
             bumped = theta.copy()
             bumped[k] = theta[k] + h
             write_back(bumped)
-            up = sp.log_loss(sp.forward(model, inst), inst.label)
+            up = sp.log_loss(sp.predict_proba(model, ids[:1])[0], labels[0])
             bumped[k] = theta[k] - h
             write_back(bumped)
-            down = sp.log_loss(sp.forward(model, inst), inst.label)
+            down = sp.log_loss(sp.predict_proba(model, ids[:1])[0], labels[0])
             write_back(theta)
             numeric = (up - down) / (2 * h)
             assert flat_grad[k] == pytest.approx(numeric, abs=5e-7)
 
     def test_untouched_rows_have_zero_gradient(self):
         model, ids, labels = tiny_random_model(6, sp.FM, field_size=4)
-        inst = sp.Instance(int(labels[0]), ids[0])
-        grads = sp.backward(model, inst)
+        _, grads = dense_batch_gradients(model.embedding.values, model.backbone, ids[:1], labels[:1])
         touched = set(int(i) for i in ids[0])
         for row in range(model.embedding.n):
             if row not in touched:

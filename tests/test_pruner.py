@@ -431,8 +431,19 @@ class TestLayoutCheck:
             lambda model, ds: sp.evaluate(model, ds),
             lambda model, ds: sp.prune_curve(model, sp.score_magnitude(model), [0.5], ds),
             lambda model, ds: sp.train(ds, sp.TrainConfig(backbone=sp.FM, dim=2), init=model),
+            lambda model, ds: sp.estimate_shapley(model, ds),
+            lambda model, ds: sp.exact_shapley_global(model, ds),
+            lambda model, ds: sp.score_taylor(model, ds),
         ],
-        ids=["compute_codebook", "evaluate", "prune_curve", "train_init"],
+        ids=[
+            "compute_codebook",
+            "evaluate",
+            "prune_curve",
+            "train_init",
+            "estimate_shapley",
+            "exact_shapley_global",
+            "score_taylor",
+        ],
     )
     def test_mismatched_layout_is_refused(self, call):
         model, ds = self.mismatched()
