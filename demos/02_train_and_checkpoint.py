@@ -29,14 +29,15 @@ train_config = sp.TrainConfig(
 model = sp.train(train_ds, train_config, log_fn=lambda e, loss: print(f"  epoch {e}: train loss {loss:.4f}"))
 
 report = sp.evaluate(model, test_ds)
-print(f"held out: logloss {report.logloss:.4f}, auc {report.auc:.4f}, "
-      f"{report.storage_bytes} bytes on disk")
-
-# checkpoints carry the vocabulary fingerprint, so loading against the wrong
-# vocabulary fails loudly instead of silently misreading ids
 with tempfile.TemporaryDirectory() as tmp:
     first, second = Path(tmp) / "model.shvr", Path(tmp) / "again.shvr"
     sp.save_model(model, first)
+    print(f"held out: logloss {report.logloss:.4f}, auc {report.auc:.4f}, "
+          f"{first.stat().st_size} bytes on disk")
+
+    # checkpoints carry the table's row count and field offsets, and loading
+    # checks them against the vocabulary, so the wrong vocabulary fails
+    # loudly instead of silently misreading ids
     restored = sp.load_model(first, vocab)
     assert np.array_equal(restored.embedding.values, model.embedding.values)
     sp.save_model(restored, second)

@@ -10,6 +10,7 @@ retraining happens anywhere in this script.
 import numpy as np
 
 import shapprune as sp
+from shapprune.model import model_to_bytes
 
 config = sp.SyntheticConfig(rows=12_000, seed=21)
 rows = sp.synthetic_rows(config)
@@ -22,9 +23,10 @@ model = sp.train(train_ds, sp.TrainConfig(
     backbone=sp.FM, dim=8, epochs=4, batch_size=256, learning_rate=1e-3, seed=0,
 ))
 dense = sp.evaluate(model, test_ds)
+dense_bytes = len(model_to_bytes(model))  # the checkpoint's size on disk
 n, d = model.embedding.values.shape
 print(f"dense model: {n}x{d} table, test logloss {dense.logloss:.4f}, "
-      f"auc {dense.auc:.4f}, {dense.storage_bytes} bytes")
+      f"auc {dense.auc:.4f}, {dense_bytes} bytes")
 
 scores = {
     "shapley": sp.estimate_shapley(model, train_ds, passes=1, seed=0),
@@ -43,8 +45,7 @@ for name, score in scores.items():
 pruned = sp.prune(model, scores["shapley"], 0.95, frequencies=train_ds.frequencies)
 print(f"\nt=0.95 keeps {pruned.kept_count} of {n * d} parameters "
       f"(budget {sp.parameter_budget(0.95, n, d)} pruned)")
-print(f"file shrinks from {dense.storage_bytes} to "
-      f"{sp.evaluate(pruned, test_ds).storage_bytes} bytes")
+print(f"file shrinks from {dense_bytes} to {len(pruned.to_bytes())} bytes")
 
 # which features lose their parameters? group by training frequency
 print("\nmean kept dimensions by frequency tercile (rare -> common):")

@@ -87,12 +87,9 @@ def _floats(text: str) -> tuple:
     return tuple(float(part) for part in text.split(",") if part != "")
 
 
-def _load_inputs(args, need_data: bool = True):
+def _load_inputs(args):
     vocab = Vocabulary.load(args.vocab)
-    dataset = None
-    if need_data:
-        dataset = encode_rows(read_csv_rows(args.data), vocab)
-    return vocab, dataset
+    return vocab, encode_rows(read_csv_rows(args.data), vocab)
 
 
 def _detect_and_load(path, vocab=None):
@@ -289,10 +286,10 @@ def cmd_eval(args) -> int:
         event="eval",
         logloss=report.logloss,
         auc=report.auc,
-        count=report.count,
-        bytes=report.storage_bytes,
+        count=len(dataset),
+        bytes=os.path.getsize(args.model),
         seconds=seconds,
-        rows_per_s=report.count / seconds,
+        rows_per_s=len(dataset) / seconds,
     )
     if isinstance(target, PrunedModel):
         for index, bucket in enumerate(frequency_bucket_report(target, dataset.frequencies)):

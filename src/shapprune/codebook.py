@@ -48,11 +48,8 @@ def compute_codebook(model, dataset) -> Codebook:
     out = np.empty((m, d))
     for j in range(m):
         lo, hi = int(offsets[j]), int(offsets[j + 1])
-        weight = freq[lo:hi]
-        total = weight.sum()
-        if total == 0:
-            raise ValueError(f"field {dataset.vocab.schema.names[j]!r} has zero total frequency")
-        out[j] = weight @ values[lo:hi] / total
+        weight = freq[lo:hi]  # sums to len(dataset) >= 1: one id per field per row
+        out[j] = weight @ values[lo:hi] / weight.sum()
     crc = zlib.crc32(np.ascontiguousarray(dataset.frequencies, dtype="<i8").tobytes())
     return Codebook(out, crc)
 

@@ -224,8 +224,15 @@ class Vocabulary:
                 raise ser.CheckpointError(f"unknown field kind code {code}")
             kinds.append(_KIND_NAMES[code])
             count = r.u64()
-            tables.append({r.text(): k for k in range(count)})
-        return cls(FieldSchema(tuple(names), tuple(kinds)), tuple(tables), min_count)
+            table = {r.text(): k for k in range(count)}
+            if len(table) != count:
+                raise ser.CheckpointError(f"vocabulary field {names[-1]!r} lists a token twice")
+            tables.append(table)
+        try:
+            schema = FieldSchema(tuple(names), tuple(kinds))
+        except DataError as exc:
+            raise ser.CheckpointError(f"vocabulary header: {exc}") from None
+        return cls(schema, tuple(tables), min_count)
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -365,10 +372,3 @@ def read_csv_rows(path) -> list:
 def write_csv_rows(path, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
-
-
-def load_csv_dataset(path, schema: FieldSchema, min_count: int = 0):
-    """Build a vocabulary from a CSV file and encode the same rows with it."""
-    rows = read_csv_rows(path)
-    vocab = build_vocabulary(rows, schema, min_count)
-    return vocab, encode_rows(rows, vocab)

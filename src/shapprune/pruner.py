@@ -27,7 +27,6 @@ from .model import (
     Model,
     PruneMask,
     log_loss,
-    model_to_bytes,
     predict_proba_values,
     read_backbone,
     read_head,
@@ -252,31 +251,20 @@ def auc_rank(labels: np.ndarray, predictions: np.ndarray):
 class EvalReport:
     logloss: float
     auc: float | None
-    auc_defined: bool
-    count: int
-    storage_bytes: int
 
 
 def evaluate(target, dataset: Dataset) -> EvalReport:
-    """Log loss, AUC, and serialized size of a dense or pruned model on a
-    dataset laid out by the model's vocabulary."""
+    """Log loss and AUC (None for a single-class dataset) of a dense or
+    pruned model on a dataset laid out by the model's vocabulary. Sizes
+    belong to the codecs: len(to_bytes()) or the file on disk."""
     if isinstance(target, PrunedModel):
         values, offsets = target.effective_values(), target.offsets
-        blob = target.to_bytes()
     else:
         values, offsets = target.embedding.values, target.embedding.offsets
-        blob = model_to_bytes(target)
     dataset.vocab.check_layout(values.shape[0], offsets)
     predictions = predict_proba_values(values, target.backbone, dataset.ids)
     losses = log_loss(predictions, dataset.labels.astype(np.float64))
-    auc = auc_rank(dataset.labels, predictions)
-    return EvalReport(
-        logloss=float(np.mean(losses)),
-        auc=auc,
-        auc_defined=auc is not None,
-        count=len(dataset),
-        storage_bytes=len(blob),
-    )
+    return EvalReport(float(np.mean(losses)), auc_rank(dataset.labels, predictions))
 
 
 def prune_curve(
@@ -291,7 +279,8 @@ def prune_curve(
     """Evaluate a strictly increasing sparsity grid. Returns one row per t
     with keys sparsity, auc, logloss, kept_params, file_bytes.
 
-    Row t equals evaluating prune(model, scores, t, ...). The coordinates
+    Row t equals evaluating prune(model, scores, t, ...), and its
+    file_bytes is that model's encoded size. The coordinates
     are ranked once for the whole grid and each point prunes a prefix of
     that ranking, so the pruned sets nest along the grid."""
     grid = list(sparsities)
@@ -308,7 +297,7 @@ def prune_curve(
                 "auc": report.auc,
                 "logloss": report.logloss,
                 "kept_params": pruned.kept_count,
-                "file_bytes": report.storage_bytes,
+                "file_bytes": len(pruned.to_bytes()),
             }
         )
     return rows

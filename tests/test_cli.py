@@ -100,6 +100,7 @@ class TestPipeline:
         assert "freq_bucket" not in stdout
         keys = {pair.split("=")[0] for pair in stdout.split()}
         assert {"seconds", "rows_per_s"} <= keys
+        assert f"bytes={Path(toy_files['model']).stat().st_size} " in stdout
 
     def test_eval_pruned_model_adds_bucket_lines(self, toy_files, capsys):
         code, stdout, _ = run(
@@ -111,6 +112,7 @@ class TestPipeline:
         buckets = [line for line in stdout.splitlines() if line.startswith("event=freq_bucket")]
         assert len(buckets) == 3
         assert "mean_kept_dims=" in buckets[0]
+        assert f"bytes={Path(toy_files['pruned']).stat().st_size} " in stdout.splitlines()[0]
 
     def test_curve_writes_csv(self, toy_files, capsys, tmp_path):
         out = str(tmp_path / "curve.csv")

@@ -49,27 +49,6 @@ class TestComputeCodebook:
             expected = freq @ toy_model.embedding.values[lo:hi] / freq.sum()
             assert np.allclose(codebook.values[j], expected, atol=1e-14)
 
-    def test_zero_frequency_field_rejected(self):
-        model, _ = one_field_setup()
-        vocab2 = sp.Vocabulary(
-            sp.FieldSchema(("used", "unused"), (sp.CATEGORICAL, sp.CATEGORICAL)),
-            ({"a": 0}, {"b": 0}),
-            0,
-        )
-        values = np.zeros((4, 2))
-        model2 = sp.Model(
-            sp.EmbeddingTable(values, vocab2.offsets.copy()),
-            sp.BackboneParams(sp.FM, 0.0, np.zeros(4), []),
-            vocab2,
-        )
-        ids = np.array([[0, 2], [1, 3]], dtype=np.int64)
-        ds = sp.dataset_from_encoded(ids, np.array([0, 1], np.int64), vocab2)
-        crippled = ds.frequencies.copy()
-        crippled[2:4] = 0
-        object.__setattr__(ds, "frequencies", crippled)
-        with pytest.raises(ValueError, match="'unused' has zero total frequency"):
-            sp.compute_codebook(model2, ds)
-
     def test_fingerprint_tracks_frequencies(self, toy_model, toy_corpus):
         _, _, vocab, ds = toy_corpus
         half = sp.dataset_from_encoded(ds.ids[:20], ds.labels[:20], vocab)

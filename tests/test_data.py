@@ -169,6 +169,37 @@ class TestVocabularySerialization:
         with pytest.raises(CheckpointError, match="does not hold a vocabulary"):
             sp.Vocabulary.from_bytes(seal(w.getvalue()))
 
+    @staticmethod
+    def crafted(fields):
+        """A CRC-valid vocabulary file over (name, tokens) pairs, written
+        without any of Vocabulary's own checks."""
+        from shapprune.serialization import TAG_VOCABULARY, ByteWriter, seal
+
+        w = ByteWriter()
+        w.u8(TAG_VOCABULARY)
+        w.u64(0)
+        w.u64(len(fields))
+        for name, tokens in fields:
+            w.text(name)
+            w.u8(0)
+            w.u64(len(tokens))
+            for token in tokens:
+                w.text(token)
+        return seal(w.getvalue())
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ([("f", ["a", "a", "b"])], "lists a token twice"),
+            ([], "at least one field"),
+            ([("f", ["a"]), ("f", ["b"])], "duplicate field names"),
+        ],
+        ids=["repeated_token", "zero_fields", "repeated_field_name"],
+    )
+    def test_malformed_header_rejected(self, fields, message):
+        with pytest.raises(CheckpointError, match=message):
+            sp.Vocabulary.from_bytes(self.crafted(fields))
+
 
 class TestEncoding:
     def setup_method(self):
@@ -287,7 +318,9 @@ class TestCsvFiles:
         path = tmp_path / "data.csv"
         sp.write_csv_rows(path, rows)
         schema = sp.FieldSchema(("cat", "num"), (sp.CATEGORICAL, sp.NUMERIC_BUCKETED))
-        vocab, ds = sp.load_csv_dataset(path, schema)
+        rows = sp.read_csv_rows(path)
+        vocab = sp.build_vocabulary(rows, schema)
+        ds = sp.encode_rows(rows, vocab)
         assert len(ds) == 3
         assert list(vocab.tables[1]) == ["4", "10"]
 

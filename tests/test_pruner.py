@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -514,17 +515,12 @@ class TestEvaluate:
             float(np.mean(sp.log_loss(preds, ds.labels.astype(float)))), abs=1e-15
         )
         assert report.auc == sp.auc_rank(ds.labels, preds)
-        assert report.auc_defined
-        assert report.count == len(ds)
-        from shapprune.model import model_to_bytes
-
-        assert report.storage_bytes == len(model_to_bytes(toy_model))
+        assert report.auc is not None
 
     def test_pruned_model_report(self, toy_model, toy_exact_scores, toy_corpus):
         _, _, _, ds = toy_corpus
         pruned = sp.prune(toy_model, toy_exact_scores, 0.5)
         report = sp.evaluate(pruned, ds)
-        assert report.storage_bytes == len(pruned.to_bytes())
         preds = sp.predict_proba_values(pruned.effective_values(), pruned.backbone, ds.ids)
         assert report.logloss == pytest.approx(
             float(np.mean(sp.log_loss(preds, ds.labels.astype(float)))), abs=1e-15
@@ -535,7 +531,21 @@ class TestEvaluate:
         ones = sp.dataset_from_encoded(ds.ids, np.ones(len(ds), np.int64), vocab)
         report = sp.evaluate(toy_model, ones)
         assert report.auc is None
-        assert not report.auc_defined
+
+    def test_reports_only_quality(self):
+        assert [f.name for f in dataclasses.fields(sp.EvalReport)] == ["logloss", "auc"]
+
+    def test_does_not_encode(self, toy_model, toy_exact_scores, toy_corpus, monkeypatch):
+        _, _, _, ds = toy_corpus
+        codebook = sp.compute_codebook(toy_model, ds)
+        pruned = sp.prune(toy_model, toy_exact_scores, 0.5, sp.CODEBOOK, codebook)
+
+        def refuse(body):
+            raise AssertionError("evaluate encoded a model")
+
+        monkeypatch.setattr("shapprune.serialization.seal", refuse)
+        for target in (toy_model, pruned):
+            assert np.isfinite(sp.evaluate(target, ds).logloss)
 
 
 class TestCurve:
@@ -559,7 +569,7 @@ class TestCurve:
                 pruned = sp.prune(toy_model, toy_exact_scores, t, *args)
                 report = sp.evaluate(pruned, ds)
                 assert row["kept_params"] == pruned.kept_count
-                assert row["file_bytes"] == report.storage_bytes
+                assert row["file_bytes"] == len(pruned.to_bytes())
                 assert row["logloss"] == report.logloss
                 assert row["auc"] == report.auc
 
