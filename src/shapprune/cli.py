@@ -63,7 +63,7 @@ from .pruner import (
     write_curve_csv,
 )
 from .model import check_vocabulary, model_from_bytes
-from .serialization import CheckpointError, unseal, TAG_PRUNED, MODEL_TAGS
+from .serialization import BODY_START, CheckpointError, unseal, TAG_PRUNED, MODEL_TAGS
 from .synth import SyntheticConfig, synthetic_rows, synthetic_schema
 
 
@@ -94,17 +94,19 @@ def _load_inputs(args):
 
 def _detect_and_load(path, vocab=None):
     """Model checkpoints and pruned checkpoints share the container format;
-    dispatch on the kind tag."""
+    dispatch on the kind tag. The tag is read before the file is checked:
+    either loader unseals the file, so it is checked once, and any other
+    file is unsealed here, so a damaged one reports as damaged."""
     with open(path, "rb") as fh:
         data = fh.read()
-    reader = unseal(data)
-    tag = reader.u8()
+    tag = data[BODY_START] if len(data) > BODY_START else None
     if tag == TAG_PRUNED:
         pruned = PrunedModel.from_bytes(data)
         check_vocabulary(vocab, pruned.n, pruned.offsets)
         return pruned
     if tag in MODEL_TAGS:
         return model_from_bytes(data, vocab)
+    tag = unseal(data).u8()
     raise CheckpointError(f"file holds neither a model nor a pruned model (kind tag {tag})")
 
 

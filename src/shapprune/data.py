@@ -227,6 +227,10 @@ class Vocabulary:
             table = {r.text(): k for k in range(count)}
             if len(table) != count:
                 raise ser.CheckpointError(f"vocabulary field {names[-1]!r} lists a token twice")
+            if OOV_TOKEN in table:
+                raise ser.CheckpointError(
+                    f"vocabulary field {names[-1]!r} lists the reserved token {OOV_TOKEN}"
+                )
             tables.append(table)
         try:
             schema = FieldSchema(tuple(names), tuple(kinds))
@@ -246,7 +250,9 @@ class Vocabulary:
 
 def build_vocabulary(raw_rows, schema: FieldSchema, min_count: int = 0) -> Vocabulary:
     """Count tokens per field and assign ids to those with count >= min_count,
-    in order of first appearance. Everything else encodes to the field's OOV id.
+    in order of first appearance. Everything else encodes to the field's OOV
+    id, and so does a cell spelled OOV_TOKEN, which is that id's own spelling
+    (see Vocabulary.token_of) and never gets an id of its own.
     """
     m = schema.field_count
     counters = [dict() for _ in range(m)]
@@ -264,7 +270,7 @@ def build_vocabulary(raw_rows, schema: FieldSchema, min_count: int = 0) -> Vocab
     for j in range(m):
         kept = {}
         for token, count in counters[j].items():
-            if count >= min_count:
+            if count >= min_count and token != OOV_TOKEN:
                 kept[token] = len(kept)
         tables.append(kept)
     return Vocabulary(schema, tuple(tables), min_count)

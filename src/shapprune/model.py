@@ -12,9 +12,13 @@ over embedding columns. Predictions are sigmoid(z) clamped away from 0 and 1.
 
 Training is mini-batch Adam. A batch touches few of the table's rows, so its
 embedding and linear gradients are computed as a block over the touched rows
-only. Each step decays both Adam moments over every parameter, adds the
-gradient terms at the touched rows alone, and moves every parameter, all in
-place in preallocated scratch buffers. Per coordinate this is the arithmetic
+only. Training renumbers the rows in the order the data first touches them,
+so the rows touched so far are a prefix of the table. Each step decays both
+Adam moments over that prefix, adds the gradient terms at the batch's rows
+alone, and moves the prefix, all in place in preallocated scratch buffers;
+the bias and MLP are stepped in full. A row past the prefix has never had a
+gradient, so both its moments are +0.0 and dense Adam's step for it is +0.0,
+which leaves it bit for bit as it was. Per coordinate this is the arithmetic
 of dense Adam over a full-size gradient that is zero off the touched rows, so
 the trained parameters are bit-identical to dense Adam's (see train for the
 one signed-zero exception).
@@ -333,6 +337,20 @@ def _views(flat: np.ndarray, layers) -> list:
     return out
 
 
+def _first_touch_order(ids: np.ndarray, order: np.ndarray, batch_size: int, n: int):
+    """Rows in order of the batch that first touches them when the instances
+    of ids (N, m) are taken in order in batches of batch_size, ties in row
+    order, and rows no instance holds last: (perm (n,), live_at), where
+    live_at[b] is how many rows batches 0..b touch. A later epoch holds the
+    same instances, so it touches no row past live_at[-1]."""
+    batches = -(-ids.shape[0] // batch_size)
+    first = np.full(n, batches)
+    per_batch = ids.shape[1] * batch_size
+    np.minimum.at(first, ids[order].ravel(), np.arange(ids.size) // per_batch)
+    live_at = np.cumsum(np.bincount(first, minlength=batches + 1)[:batches]).tolist()
+    return np.argsort(first, kind="stable"), live_at
+
+
 def train(
     dataset,
     config: TrainConfig,
@@ -343,18 +361,26 @@ def train(
 ) -> Model:
     """Mini-batch Adam on the log loss. Deterministic for a fixed config.
 
-    Each step decays both moments of every parameter, adds the gradient
-    terms of the embedding and linear weights only at the rows the batch
-    touches (the rest have a zero gradient), and moves every parameter by
-    its bias-corrected Adam step. The arithmetic per coordinate is that of
-    dense Adam, so the trained parameters are bit-identical to it, with
-    one exception: dense Adam adds a zero gradient term to an untouched
-    row, which turns a first moment that underflowed to -0.0 into +0.0,
-    and a parameter that is itself -0.0 then ends at -0.0 there and at
-    +0.0 here. The step runs in place in two scratch buffers per updated
-    array, so it allocates nothing the size of the table. The bias and
-    the MLP are updated as one flat vector; the returned model's layers
-    are views of it.
+    The embedding and linear rows are renumbered in the order the epoch-0
+    batches first touch them (see _first_touch_order), and a step covers
+    only the rows touched so far, a prefix of live rows: it decays both
+    moments of those rows, adds the gradient terms at the rows the batch
+    touches (the rest of the prefix has a zero gradient), and moves the
+    prefix by its bias-corrected Adam step. The bias and the MLP, one flat
+    vector that the returned model's layers are views of, are stepped in
+    full. A row past the prefix has both moments +0.0, so dense Adam would
+    move it by (0/c1)*lr / (sqrt(0/c2)+eps) = +0.0, and p - 0.0 is p bit for
+    bit, -0.0 included; skipping it changes nothing. Each row gets the same
+    gradient under any numbering, as _row_sums adds in instance order. The
+    arithmetic per coordinate is that of dense Adam, so the trained
+    parameters are bit-identical to it, with one exception: dense Adam adds
+    a zero gradient term to a row the batch does not touch, which turns a
+    first moment that underflowed to -0.0 into +0.0, and a parameter that
+    is itself -0.0 then ends at -0.0 there and at +0.0 here. The step runs
+    in place in two scratch buffers per updated array; the renumbered copy
+    replaces the table, and the moments and buffers are freed before the
+    rows are put back in order, so peak memory stays at about five
+    tables.
 
     With a mask, the masked embedding coordinates are pinned to their padding
     values (zero or the codebook row) before the first step and their
@@ -373,7 +399,24 @@ def train(
             raise ValueError("mask shape does not match the embedding table")
         flags = mask.dense()
         table.values = impute(table.values, table.offsets, flags, padding)
-    values = table.values
+
+    # Train with the rows renumbered in first-touch order (see
+    # _first_touch_order), so that every step's touched rows lie in a prefix
+    # [:live] of the table; inv maps a row to its new number.
+    shuffle_rng = np.random.default_rng((config.seed, 1))
+    count = len(dataset)
+    order = shuffle_rng.permutation(count)
+    n = table.n
+    perm, live_at = _first_touch_order(dataset.ids, order, config.batch_size, n)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(n)
+    ids = inv[dataset.ids]
+    values = table.values[perm]
+    table.values = None
+    backbone.linear = backbone.linear[perm]
+    if flags is not None:
+        flags = flags[perm]
+    del perm
 
     # The bias and every MLP weight and bias are stepped as one flat vector,
     # which the backbone's layers become views of: one Adam update in place
@@ -385,17 +428,17 @@ def train(
     moment2 = [np.zeros_like(p) for p in params]
     scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
 
-    shuffle_rng = np.random.default_rng((config.seed, 1))
     step = 0
-    count = len(dataset)
     for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(count)
+        if epoch > 0:
+            order = shuffle_rng.permutation(count)
         epoch_loss = 0.0
         for batch_index, start in enumerate(range(0, count, config.batch_size)):
             take = order[start : start + config.batch_size]
+            live = live_at[batch_index if epoch == 0 else -1]
             try:
                 loss, rows, grads = _batch_gradients(
-                    values, backbone, dataset.ids[take], dataset.labels[take]
+                    values[:live], backbone, ids[take], dataset.labels[take]
                 )
             except NonFiniteError:
                 raise TrainingDiverged(
@@ -413,6 +456,9 @@ def train(
                 params, (grads.embedding, grads.linear, head_grad), (rows, rows, None),
                 moment1, moment2, scratch,
             ):
+                if at is not None and live < n:
+                    # rows past live have zero moments, so their step would be +0.0
+                    p, m1, m2, s1, s2 = p[:live], m1[:live], m2[:live], s1[:live], s2[:live]
                 m1 *= BETA1
                 m2 *= BETA2
                 if at is None:
@@ -437,6 +483,11 @@ def train(
             epoch_loss += loss * take.shape[0]
         if log_fn is not None:
             log_fn(epoch, epoch_loss / count)
+
+    # free the moments and buffers before un-permuting allocates a table
+    del moment1, moment2, scratch
+    table.values = values[inv]
+    backbone.linear = backbone.linear[inv]
     return model
 
 

@@ -54,6 +54,8 @@ import zlib
 
 MAGIC = b"SHVR"
 FORMAT_VERSION = 1
+# offset of the body, and so of its kind tag: after the magic and version
+BODY_START = len(MAGIC) + 4
 
 # Kind tag: first body byte, identifies what a file holds. Model checkpoints
 # use the backbone tag directly; other artifact kinds live in a disjoint
@@ -115,7 +117,10 @@ class ByteWriter:
 
 
 class ByteReader:
-    def __init__(self, data: bytes) -> None:
+    """Reads a body front to back. take returns slices of data, which are
+    views when data is a memoryview."""
+
+    def __init__(self, data) -> None:
         self._data = data
         self._pos = 0
 
@@ -139,7 +144,7 @@ class ByteReader:
         return struct.unpack("<d", self.take(8))[0]
 
     def text(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        return str(self.take(self.u32()), "utf-8")
 
     def sections(self):
         """Yield (tag, payload) for the framed sections occupying the rest
@@ -161,8 +166,9 @@ def seal(body: bytes) -> bytes:
 
 
 def unseal(data: bytes) -> ByteReader:
-    """Verify the envelope and return a reader positioned at the body."""
-    if len(data) < len(MAGIC) + 8:
+    """Verify the envelope and return a reader positioned at the body. The
+    checksum and the reader work on views of data, not on copies."""
+    if len(data) < BODY_START + 4:
         raise CheckpointError("truncated file")
     if data[: len(MAGIC)] != MAGIC:
         raise CheckpointError("not a SHVR checkpoint")
@@ -170,9 +176,10 @@ def unseal(data: bytes) -> ByteReader:
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported version {version}")
     stored = struct.unpack_from("<I", data, len(data) - 4)[0]
-    if zlib.crc32(data[:-4]) != stored:
+    view = memoryview(data)
+    if zlib.crc32(view[:-4]) != stored:
         raise CheckpointError("checksum mismatch, file is corrupt")
-    return ByteReader(data[len(MAGIC) + 4 : -4])
+    return ByteReader(view[BODY_START:-4])
 
 
 def expect_kind(reader: ByteReader, expected: int, what: str) -> int:

@@ -1,13 +1,15 @@
 import shutil
 import struct
+import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import shapprune as sp
 from shapprune import serialization as ser
-from shapprune.cli import main
+from shapprune.cli import _detect_and_load, main
 from shapprune.serialization import CheckpointError
 from shapprune.model import write_backbone, write_head
 
@@ -239,6 +241,45 @@ class TestPipeline:
         scores = sp.AttributionScores.load(out)
         assert scores.method == method
         assert scores.forward_count == forwards
+
+
+class TestDetectAndLoad:
+    @pytest.mark.parametrize("kind, loaded", [("model", sp.Model), ("pruned", sp.PrunedModel)])
+    def test_one_checksum_pass_per_file(self, toy_files, monkeypatch, kind, loaded):
+        calls = []
+
+        def crc32(data, *start):
+            calls.append(len(data))
+            return zlib.crc32(data, *start)
+
+        monkeypatch.setattr(ser, "zlib", SimpleNamespace(crc32=crc32))
+        assert isinstance(_detect_and_load(toy_files[kind]), loaded)
+        assert calls == [Path(toy_files[kind]).stat().st_size - 4]
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("tag to pruned", "checksum mismatch"),
+            ("tag to unknown", "checksum mismatch"),
+            ("cut to header", "truncated file"),
+            ("cut in half", "checksum mismatch"),
+            ("vocabulary", r"neither a model nor a pruned model \(kind tag 16\)"),
+        ],
+    )
+    def test_damaged_or_wrong_kind_file(self, toy_files, tmp_path, damage, message):
+        data = bytearray(Path(toy_files["model"]).read_bytes())
+        if damage.startswith("tag"):
+            data[ser.BODY_START] = ser.TAG_PRUNED if damage == "tag to pruned" else 99
+        elif damage == "cut to header":
+            data = data[: ser.BODY_START]
+        elif damage == "cut in half":
+            data = data[: len(data) // 2]
+        else:
+            data = Path(toy_files["vocab"]).read_bytes()
+        path = tmp_path / "bad.shvr"
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=message):
+            _detect_and_load(path)
 
 
 class TestSynth:

@@ -193,8 +193,9 @@ class TestVocabularySerialization:
             ([("f", ["a", "a", "b"])], "lists a token twice"),
             ([], "at least one field"),
             ([("f", ["a"]), ("f", ["b"])], "duplicate field names"),
+            ([("f", ["a", sp.OOV_TOKEN])], "lists the reserved token"),
         ],
-        ids=["repeated_token", "zero_fields", "repeated_field_name"],
+        ids=["repeated_token", "zero_fields", "repeated_field_name", "oov_token"],
     )
     def test_malformed_header_rejected(self, fields, message):
         with pytest.raises(CheckpointError, match=message):
@@ -233,6 +234,14 @@ class TestEncoding:
         again = sp.encode_rows(sp.decode_rows(ds), self.vocab)
         assert np.array_equal(again.ids, ds.ids)
         assert np.array_equal(again.labels, ds.labels)
+
+    def test_oov_spelled_cell_encodes_to_the_oov_id(self):
+        vocab = sp.build_vocabulary([["1", sp.OOV_TOKEN], ["0", "a"], ["1", "a"]],
+                                    sp.FieldSchema.categorical(1))
+        ds = sp.encode_rows([["1", sp.OOV_TOKEN], ["0", "a"], ["1", "a"], ["0", "b"]], vocab)
+        assert ds.ids[:, 0].tolist() == [1, 0, 0, 1]
+        again = sp.encode_rows(sp.decode_rows(ds), vocab)
+        assert np.array_equal(again.ids, ds.ids)
 
     def test_decode_uses_representative_numeric_values(self):
         ds = sp.encode_rows([["1", "9", "a"]], self.vocab)

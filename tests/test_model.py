@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import shapprune as sp
-from shapprune.model import _row_sums, _touched_rows
+from shapprune.model import _first_touch_order, _row_sums, _touched_rows
 from shapprune.serialization import CheckpointError
 
 from helpers import (
@@ -254,13 +255,14 @@ class TestTraining:
             sp.train(ds, config, mask=bad, padding=sp.ZERO)
 
 
-def small_table_corpus(seed, n_fields=3, field_size=4, count=37):
+def small_table_corpus(seed, n_fields=3, field_size=4, count=37, used=None):
     """Random encoded dataset over a small table: with few rows per field,
-    rows repeat across the instances of every batch."""
+    rows repeat across the instances of every batch. Ids are drawn from the
+    first used rows of each field's block (all of it by default)."""
     rng = np.random.default_rng(seed)
     tables = tuple({f"f{f}t{k}": k for k in range(field_size - 1)} for f in range(n_fields))
     vocab = sp.Vocabulary(sp.FieldSchema.categorical(n_fields), tables, 0)
-    ids = vocab.offsets[:-1] + rng.integers(0, field_size, (count, n_fields))
+    ids = vocab.offsets[:-1] + rng.integers(0, used or field_size, (count, n_fields))
     labels = rng.integers(0, 2, count)
     return sp.dataset_from_encoded(ids.astype(np.int64), labels.astype(np.int64), vocab)
 
@@ -300,6 +302,41 @@ class TestSparseAdam:
         want = dense_adam_train(ds, config, init=base, mask=mask, padding=pad)
         self.assert_bitwise_equal(got, want)
 
+    @pytest.mark.parametrize("kind", [sp.FM, sp.DEEPFM])
+    @pytest.mark.parametrize("padding", [None, "zero", "codebook"])
+    def test_rows_first_touched_late_or_never_match_dense_adam(self, kind, padding):
+        # 40 rows per field, ids from the first 30 only, batches of 4: first
+        # touches spread over many batches and 10 rows per field never occur,
+        # so most steps update a strict prefix of the renumbered table
+        ds = small_table_corpus(14, field_size=40, count=61, used=30)
+        config = sp.TrainConfig(backbone=kind, dim=3, hidden=(4, 3), epochs=3, batch_size=4,
+                                learning_rate=5e-2, seed=6)
+        order = np.random.default_rng((config.seed, 1)).permutation(len(ds))
+        first = {}
+        for position, instance in enumerate(order):
+            for row in ds.ids[instance].tolist():
+                first.setdefault(row, position // config.batch_size)
+        assert sorted(set(first.values()))[-1] > 5
+        assert len(first) < ds.vocab.n
+        if padding is None:
+            got, want = sp.train(ds, config), dense_adam_train(ds, config)
+        else:
+            base = sp.train(ds, dataclasses.replace(config, epochs=1))
+            flags = np.random.default_rng(7).random(base.embedding.values.shape) < 0.4
+            mask = sp.PruneMask.from_dense(flags)
+            pad = sp.ZERO if padding == "zero" else sp.compute_codebook(base, ds)
+            got = sp.train(ds, config, init=base, mask=mask, padding=pad)
+            want = dense_adam_train(ds, config, init=base, mask=mask, padding=pad)
+        self.assert_bitwise_equal(got, want)
+
+    def test_first_touch_order(self):
+        ids = np.array([[3, 0], [5, 1], [3, 2], [6, 1], [0, 4]])
+        order = np.array([2, 0, 4, 1, 3])
+        perm, live_at = _first_touch_order(ids, order, 2, 8)
+        # batches: rows {3, 2, 0}, then {4, 5, 1}, then {6}; row 7 never
+        assert perm.tolist() == [0, 2, 3, 1, 4, 5, 6, 7]
+        assert live_at == [3, 6, 7]
+
     @pytest.mark.parametrize("width", [(), (4,)])
     def test_row_sums_match_add_at(self, width):
         rng = np.random.default_rng(5)
@@ -323,23 +360,27 @@ class TestSparseAdam:
     def test_training_allocates_no_table_sized_temporaries(self):
         # Budget in table sizes: the parameters, two Adam moments and two
         # scratch buffers (5), plus the linear weights' share and slack. A
-        # full-table gradient or temporary per step would exceed it.
+        # full-table gradient or temporary per step would exceed it. A
+        # fine-tune also holds the mask and copies its initial model.
         ds = small_table_corpus(13, n_fields=2, field_size=1200, count=96)
         config = sp.TrainConfig(backbone=sp.FM, dim=16, epochs=1, batch_size=8, seed=0)
         table_bytes = ds.vocab.n * config.dim * 8
-        outer = tracemalloc.is_tracing()
-        if not outer:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            sp.train(ds, config)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
+        base = sp.train(ds, config)
+        flags = np.random.default_rng(8).random(base.embedding.values.shape) < 0.5
+        fine_tune = dict(init=base, mask=sp.PruneMask.from_dense(flags), padding=sp.ZERO)
+        for kwargs in ({}, fine_tune):
+            outer = tracemalloc.is_tracing()
             if not outer:
-                tracemalloc.stop()
-        assert peak < 6.5 * table_bytes, f"peak {peak / table_bytes:.2f} table sizes"
-
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                sp.train(ds, config, **kwargs)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if not outer:
+                    tracemalloc.stop()
+            assert peak < 6.5 * table_bytes, f"peak {peak / table_bytes:.2f} table sizes"
 
 class TestPruneMask:
     def test_dense_round_trip(self):
@@ -365,8 +406,6 @@ class TestModelSerialization:
         assert np.array_equal(back.embedding.values, toy_model.embedding.values)
 
     def test_sections_preserved(self, toy_model, toy_corpus, tmp_path):
-        import dataclasses
-
         _, _, _, ds = toy_corpus
         stamped = dataclasses.replace(toy_model, codebook=sp.compute_codebook(toy_model, ds))
         path = tmp_path / "model.shvr"
