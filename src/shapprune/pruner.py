@@ -7,8 +7,8 @@ ranked once and every budget prunes a prefix of that ranking, so pruned sets
 nest across budgets and prune_curve ranks once for its whole grid. Only the
 embedding table is pruned; linear weights, bias, and MLP parameters ride
 along untouched. A PrunedModel is the pruned-coordinate flags plus the
-padded table the scorer reads; CSR storage of the kept entries exists only
-in its file codec.
+padded table the scorer reads; the kept-entries bitmap exists only in its
+file codec.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import serialization as ser
 from .codebook import Codebook, codebook_from_section, codebook_section_payload, impute
@@ -53,7 +52,7 @@ class PrunedModel:
     coordinates; values is the (n, d) table the scorer reads, the kept
     entries bit for bit and, at pruned coordinates, zero (codebook None) or
     the row's field codebook entry. Only the file stores the kept entries,
-    as CSR (to_bytes, _read_csr)."""
+    as a row bitmap and their values (to_bytes, _read_kept)."""
 
     flags: np.ndarray
     values: np.ndarray
@@ -93,14 +92,8 @@ class PrunedModel:
         w.f64(self.sparsity)
         write_backbone(w, self.backbone)
         kept = ~self.flags
-        flat = np.flatnonzero(kept)
-        row_ptr = np.zeros(self.n + 1, np.int64)
-        np.cumsum(np.count_nonzero(kept, axis=1), out=row_ptr[1:])
-        csr = ser.ByteWriter()
-        csr.array(row_ptr.astype("<u8"))
-        csr.array((flat % self.dim).astype("<u4"))
-        csr.array(self.values.ravel()[flat].astype("<f8", copy=False))
-        w.section(ser.SECTION_CSR, csr.getvalue())
+        values = self.values.ravel()[np.flatnonzero(kept)].astype("<f8", copy=False)
+        w.section(ser.SECTION_KEPT, np.packbits(kept, axis=1).tobytes() + values.tobytes())
         if self.codebook is not None:
             w.section(ser.SECTION_CODEBOOK, codebook_section_payload(self.codebook))
         return ser.seal(w.getvalue())
@@ -115,19 +108,19 @@ class PrunedModel:
             raise ser.CheckpointError(f"unknown padding code {code}")
         sparsity = r.f64()
         backbone = read_backbone(r, head)
-        csr = codebook = None
+        kept = codebook = None
         for tag, payload in r.sections():
-            if tag == ser.SECTION_CSR:
-                csr = _read_csr(payload, n, d)
+            if tag == ser.SECTION_KEPT:
+                kept = _read_kept(payload, n, d)
             elif tag == ser.SECTION_CODEBOOK:
                 codebook = codebook_from_section(payload, offsets.shape[0] - 1, d)
-        if csr is None:
-            raise ser.CheckpointError("pruned model is missing its CSR section")
+        if kept is None:
+            raise ser.CheckpointError("pruned model is missing its kept-entries section")
         if (_CODE_PADS[code] == CODEBOOK) != (codebook is not None):
             raise ser.CheckpointError(
                 "codebook padding requires a codebook section and zero padding forbids one"
             )
-        flags, stored = csr
+        flags, stored = kept
         values = impute(stored, offsets, flags, ZERO if codebook is None else codebook)
         return cls(flags, values, offsets, backbone, codebook, sparsity)
 
@@ -136,28 +129,22 @@ class PrunedModel:
             fh.write(self.to_bytes())
 
 
-def _read_csr(payload: bytes, n: int, d: int) -> tuple:
-    """(flags, values) of an n-row CSR section as (n, d) arrays, pruned
-    coordinates flagged and zero, rejecting any layout other than the one
-    to_bytes writes: rows of at most d strictly increasing columns below d,
-    and no bytes past the last value."""
+def _read_kept(payload: bytes, n: int, d: int) -> tuple:
+    """(flags, values) of an n-row kept section as (n, d) arrays, pruned
+    coordinates flagged and zero. The section must be exactly what to_bytes
+    writes: each row's padding bits past column d - 1 are zero, and one f64
+    follows the bitmap for every set bit."""
     r = ser.ByteReader(payload)
-    row_ptr = np.frombuffer(r.take(8 * (n + 1)), "<u8").astype(np.int64)
-    per_row = np.diff(row_ptr)
-    if row_ptr[0] != 0 or (per_row < 0).any() or (per_row > d).any():
-        raise ser.CheckpointError("CSR row pointers are not a valid row index")
-    kept = int(row_ptr[-1])
-    if len(payload) != 8 * (n + 1) + 12 * kept:
-        raise ser.CheckpointError("CSR section length does not match its row pointers")
-    col_idx = np.frombuffer(r.take(4 * kept), "<u4")
-    flat = np.repeat(np.arange(n), per_row) * d + col_idx
-    if (col_idx >= d).any() or (np.diff(flat) <= 0).any():
-        raise ser.CheckpointError("CSR columns are out of range or not increasing")
-    flags = np.ones(n * d, bool)
-    flags[flat] = False
+    width = (d + 7) // 8
+    bits = np.unpackbits(np.frombuffer(r.take(n * width), np.uint8).reshape(n, width), axis=1)
+    if bits[:, d:].any():
+        raise ser.CheckpointError("kept bitmap has padding bits set")
+    kept = np.flatnonzero(bits[:, :d])
+    if len(payload) != n * width + 8 * kept.size:
+        raise ser.CheckpointError("kept section length does not match its bitmap")
     values = np.zeros(n * d)
-    values[flat] = np.frombuffer(r.take(8 * kept), "<f8")
-    return flags.reshape(n, d), values.reshape(n, d)
+    values[kept] = np.frombuffer(r.take(8 * kept.size), "<f8")
+    return bits[:, :d] == 0, values.reshape(n, d)
 
 
 def load_pruned(path) -> PrunedModel:
@@ -240,7 +227,10 @@ def auc_rank(labels: np.ndarray, predictions: np.ndarray):
     negatives = labels.shape[0] - positives
     if positives == 0 or negatives == 0:
         return None
-    ranks = rankdata(predictions, method="average")
+    # each tie group shares the mean of its 1-based ranks, (start + end + 1) / 2
+    _, group, counts = np.unique(predictions, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = ((2 * ends - counts + 1) / 2.0)[group]
     return float(
         (ranks[labels == 1].sum() - positives * (positives + 1) / 2.0)
         / (positives * negatives)
@@ -326,12 +316,12 @@ def write_curve_csv(path, rows) -> None:
 def frequency_bucket_report(pruned: PrunedModel, frequencies: np.ndarray, buckets: int = 3):
     """Mean kept dimensions per frequency bucket.
 
-    Features are sorted by frequency and split into `buckets` near-equal
-    groups, lowest first. Shows where the budget went."""
+    Features are sorted by frequency and split into min(buckets, n)
+    near-equal groups, lowest first. Shows where the budget went."""
     kept_per_feature = pruned.dim - np.count_nonzero(pruned.flags, axis=1)
     order = np.argsort(frequencies, kind="stable")
     out = []
-    for chunk in np.array_split(order, buckets):
+    for chunk in np.array_split(order, min(buckets, order.shape[0])):
         out.append(
             {
                 "features": int(chunk.shape[0]),

@@ -25,7 +25,7 @@ model.write_backbone/read_backbone):
     model      head (its backbone tag is the kind tag), table n*d f64,
                backbone, sections: codebook
     pruned     kind tag 18, head, padding code u8 (0 zero, 1 codebook),
-               sparsity f64, backbone, sections: CSR (required), codebook
+               sparsity f64, backbone, sections: kept (required), codebook
                (present exactly when the padding code is 1)
     vocabulary kind tag 16, min count u64, m u64, then per field: name
                text, field kind u8, token count u64, tokens as text
@@ -35,13 +35,14 @@ Sections:
 
     1 retired: held a pruned-coordinate mask; never written, never reused
     2 codebook  m u64, d u64, frequency fingerprint u32, values m*d f64
-    3 CSR       row_ptr (n+1) u64, col_idx u32 and values f64 per kept
-                entry; row i keeps col_idx[row_ptr[i]:row_ptr[i+1]], at
-                most d strictly increasing columns below d, and the
-                payload ends with the last value
+    3 retired: held the kept entries as CSR (row pointers, column
+                indices, values); never written, never reused
     4 metadata  method code u8, seed u64, passes u64, forward count u64,
                 dataset fingerprint u32
     5 scores    n*d f64
+    6 kept      per row ceil(d/8) bytes of kept flags, column 0 in the high
+                bit, zero past column d-1; then one f64 per set bit, the
+                kept values in row-major order
 
 Text is a u32 byte length followed by UTF-8 bytes. Readers skip sections
 whose tag they do not use.
@@ -68,11 +69,11 @@ TAG_PRUNED = 18
 
 MODEL_TAGS = (TAG_MODEL_FM, TAG_MODEL_DEEPFM)
 
-# Section tags for optional framed payloads. Tag 1 is retired.
+# Section tags for optional framed payloads. Tags 1 and 3 are retired.
 SECTION_CODEBOOK = 2
-SECTION_CSR = 3
 SECTION_METADATA = 4
 SECTION_SCORES = 5
+SECTION_KEPT = 6
 
 
 class CheckpointError(ValueError):

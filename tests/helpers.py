@@ -7,6 +7,7 @@ against a second, structurally different route.
 
 import itertools
 import math
+import struct
 
 import numpy as np
 
@@ -332,19 +333,35 @@ def lexsort_prune_order(scores, frequencies=None):
     return np.lexsort((-cols, -rows, np.repeat(frequencies, d), scores.ravel()))
 
 
-def reference_csr(flags, values):
-    """CSR section payload for the kept entries of a bool (n, d) pruned-flag
-    array, assembled from np.nonzero and a boolean gather: row pointers
-    (n+1) u64, then the kept columns u32 and values f64 in row-major order."""
-    kept = ~flags
-    row_ptr = np.zeros(flags.shape[0] + 1, np.int64)
-    np.cumsum(kept.sum(axis=1), out=row_ptr[1:])
-    kept_rows, kept_cols = np.nonzero(kept)
-    return (
-        row_ptr.astype("<u8").tobytes()
-        + kept_cols.astype("<u4").tobytes()
-        + values[kept_rows, kept_cols].astype("<f8").tobytes()
-    )
+def pruned_sections(blob):
+    """The (tag, payload) sections of a pruned file, in file order."""
+    from shapprune import serialization as ser
+    from shapprune.model import read_backbone, read_head
+
+    r = ser.unseal(blob)
+    ser.expect_kind(r, ser.TAG_PRUNED, "a pruned model")
+    head = read_head(r)
+    r.u8()
+    r.f64()
+    read_backbone(r, head)
+    return [(tag, bytes(payload)) for tag, payload in r.sections()]
+
+
+def reference_kept(flags, values):
+    """Kept section payload for the kept entries of a bool (n, d) pruned-flag
+    array, set bit by bit: per row ceil(d/8) bytes with column j's kept flag
+    at bit 7 - j % 8 of byte j // 8, then the kept values f64 in row-major
+    order."""
+    n, d = flags.shape
+    width = (d + 7) // 8
+    bitmap = bytearray(n * width)
+    kept_values = []
+    for i in range(n):
+        for j in range(d):
+            if not flags[i, j]:
+                bitmap[i * width + j // 8] |= 0x80 >> (j % 8)
+                kept_values.append(struct.pack("<d", values[i, j]))
+    return bytes(bitmap) + b"".join(kept_values)
 
 
 def pairwise_auc_reference(labels, scores):

@@ -13,12 +13,14 @@ import pytest
 from scipy.optimize import minimize
 
 import shapprune as sp
+from shapprune.serialization import SECTION_KEPT
 
 from helpers import (
     codebook_objective,
     dense_batch_gradients,
     flat_fm_model,
     full_removal_jumps,
+    pruned_sections,
     table_game_exact_shapley,
     tiny_random_model,
 )
@@ -252,8 +254,8 @@ class TestAcceptance:
             frequencies=big_ds.frequencies,
         )
         dense_bytes = big_model.embedding.values.size * 8
-        csr_bytes = (big.n + 1) * 8 + 12 * big.kept_count
-        factor = dense_bytes / csr_bytes
+        kept_bytes = len(dict(pruned_sections(big.to_bytes()))[SECTION_KEPT])
+        factor = dense_bytes / kept_bytes
         ok = budgets_exact and zero_bit_exact and shrinking and roundtrip_ok and factor >= 10.0
         criterion(
             7,
@@ -261,7 +263,7 @@ class TestAcceptance:
             ok,
             f"budgets_exact={budgets_exact} for t in (0, 0.5, 0.8, 0.95), "
             f"t0_bit_exact={zero_bit_exact}, files_strictly_shrink={shrinking}, "
-            f"csr_roundtrip_identical={roundtrip_ok}, "
+            f"roundtrip_identical={roundtrip_ok}, "
             f"embedding_compression={factor:.1f}x >= 10x at t=0.95",
         )
 

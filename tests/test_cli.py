@@ -1,5 +1,8 @@
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 from types import SimpleNamespace
@@ -115,6 +118,31 @@ class TestPipeline:
         assert len(buckets) == 3
         assert "mean_kept_dims=" in buckets[0]
         assert f"bytes={Path(toy_files['pruned']).stat().st_size} " in stdout.splitlines()[0]
+
+    def test_eval_pruned_model_with_fewer_features_than_buckets(self, capsys, tmp_path):
+        """A one-field corpus keeps the single token a: a two-row table, so
+        each frequency bucket holds one feature and none is empty."""
+        data, schema = str(tmp_path / "one.csv"), str(tmp_path / "schema.json")
+        vocab = str(tmp_path / "one.vocab")
+        model, scores, pruned = (str(tmp_path / f"{name}.shvr") for name in ("m", "s", "p"))
+        sp.write_csv_rows(data, [(1, "a"), (0, "a")])
+        sp.FieldSchema.categorical(1).save(schema)
+        for argv in (
+            ["train", "--data", data, "--schema", schema, "--vocab-out", vocab, "--out", model,
+             "--dim", "2", "--epochs", "1", "--min-count", "1"],
+            ["attribute", "--model", model, "--vocab", vocab, "--out", scores,
+             "--method", "magnitude"],
+            ["prune", "--model", model, "--scores", scores, "--vocab", vocab, "--data", data,
+             "--sparsity", "0.5", "--out", pruned],
+        ):
+            assert main(argv) == 0
+        capsys.readouterr()
+        code, stdout, stderr = run(capsys, "eval", "--model", pruned, "--vocab", vocab,
+                                   "--data", data)
+        assert (code, stderr) == (0, "")
+        buckets = [line for line in stdout.splitlines() if line.startswith("event=freq_bucket")]
+        assert len(buckets) == sp.Vocabulary.load(vocab).n == 2
+        assert all(" features=1 " in line for line in buckets)
 
     def test_curve_writes_csv(self, toy_files, capsys, tmp_path):
         out = str(tmp_path / "curve.csv")
@@ -241,6 +269,20 @@ class TestPipeline:
         scores = sp.AttributionScores.load(out)
         assert scores.method == method
         assert scores.forward_count == forwards
+
+
+class TestImportCost:
+    def test_cli_import_leaves_out_scipy_stats(self):
+        """Importing scipy.stats costs about a second of every CLI process."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", "import shapprune.cli, sys; print('scipy.stats' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestDetectAndLoad:

@@ -7,9 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shapprune as sp
-from shapprune.serialization import CheckpointError
+from shapprune.serialization import SECTION_KEPT, CheckpointError
 
-from helpers import flat_fm_model, lexsort_prune_order, pairwise_auc_reference, reference_csr
+from helpers import (
+    flat_fm_model,
+    lexsort_prune_order,
+    pairwise_auc_reference,
+    pruned_sections,
+    reference_kept,
+)
 
 
 class TestParameterBudget:
@@ -275,7 +281,7 @@ class TestPrunedSerialization:
         assert np.array_equal(back.codebook.values, codebook.values)
         assert np.array_equal(back.effective_values(), pruned.effective_values())
 
-    def test_missing_csr_section(self):
+    def test_missing_kept_section(self):
         from shapprune import serialization as ser
 
         w = ser.ByteWriter()
@@ -290,18 +296,19 @@ class TestPrunedSerialization:
         w.array(np.zeros(2, dtype="<f8"))
         w.f64(0.0)
         w.u8(0)
-        with pytest.raises(CheckpointError, match="missing its CSR section"):
+        with pytest.raises(CheckpointError, match="missing its kept-entries section"):
             sp.PrunedModel.from_bytes(ser.seal(w.getvalue()))
 
     @staticmethod
-    def crafted(offsets, d, backbone_tag=1, pad_code=0, row_ptr=None, col_idx=None):
+    def crafted(offsets, d, backbone_tag=1, pad_code=0, bitmap=None, value_count=None, csr=False):
         """CRC-valid FM pruned body whose rows each keep column 0, with one
-        field optionally overridden."""
+        field optionally overridden; csr=True writes the retired CSR section
+        (tag 3) of files from before the kept section instead."""
         from shapprune import serialization as ser
 
         n = int(offsets[-1])
-        row_ptr = np.arange(n + 1) if row_ptr is None else np.asarray(row_ptr)
-        col_idx = np.zeros(n) if col_idx is None else np.asarray(col_idx)
+        bitmap = np.full(n, 0x80) if bitmap is None else np.asarray(bitmap)
+        value_count = n if value_count is None else value_count
         w = ser.ByteWriter()
         w.u8(ser.TAG_PRUNED)
         w.u8(backbone_tag)
@@ -314,11 +321,12 @@ class TestPrunedSerialization:
         w.array(np.zeros(n, dtype="<f8"))
         w.f64(0.0)
         w.u8(0)
-        csr = ser.ByteWriter()
-        csr.array(row_ptr.astype("<u8"))
-        csr.array(col_idx.astype("<u4"))
-        csr.array(np.ones(int(row_ptr[-1]), dtype="<f8"))
-        w.section(ser.SECTION_CSR, csr.getvalue())
+        if csr:
+            w.section(3, np.arange(n + 1, dtype="<u8").tobytes()
+                      + np.zeros(n, "<u4").tobytes() + np.ones(n, "<f8").tobytes())
+        else:
+            w.section(ser.SECTION_KEPT, bitmap.astype(np.uint8).tobytes()
+                      + np.ones(value_count, dtype="<f8").tobytes())
         return ser.seal(w.getvalue())
 
     @pytest.mark.parametrize(
@@ -326,10 +334,12 @@ class TestPrunedSerialization:
         [
             {"backbone_tag": 7},
             {"pad_code": 9},
-            {"col_idx": [0, 0, 0, 3, 0, 0, 0]},
-            {"row_ptr": [0, 1, 2, 4, 3, 5, 6, 7]},
+            {"bitmap": [0x80] * 6 + [0x90]},
+            {"value_count": 8},
+            {"csr": True},
         ],
-        ids=["backbone_tag", "padding_code", "column_out_of_range", "decreasing_row_ptr"],
+        ids=["backbone_tag", "padding_code", "padding_bits_set", "value_count_mismatch",
+             "retired_csr_section"],
     )
     def test_malformed_file_is_a_checkpoint_error(self, bad, toy_corpus, tmp_path):
         from shapprune.cli import main
@@ -353,18 +363,18 @@ class TestPrunedSerialization:
             sp.load_pruned(path)
 
 
-def _csr_section(blob):
-    """The CSR section payload of a pruned file."""
+def _with_kept_section(blob, kept):
+    """blob with its kept section payload replaced by kept and the CRC
+    recomputed; every other byte stays as written."""
     from shapprune import serialization as ser
-    from shapprune.model import read_backbone, read_head
 
-    r = ser.unseal(blob)
-    ser.expect_kind(r, ser.TAG_PRUNED, "a pruned model")
-    head = read_head(r)
-    r.u8()
-    r.f64()
-    read_backbone(r, head)
-    return dict(r.sections())[ser.SECTION_CSR]
+    body = blob[len(ser.MAGIC) + 4 : -4]
+    sections = pruned_sections(blob)
+    w = ser.ByteWriter()
+    w.raw(body[: len(body) - sum(9 + len(payload) for _, payload in sections)])
+    for tag, payload in sections:
+        w.section(tag, kept if tag == ser.SECTION_KEPT else payload)
+    return ser.seal(w.getvalue())
 
 
 def _flags(pattern, n, d):
@@ -379,16 +389,16 @@ def _flags(pattern, n, d):
     return rng.random((n, d)) < fraction
 
 
-class TestCsrCodec:
-    """to_bytes writes the CSR section a nonzero-and-gather reference
-    assembles, and from_bytes reads back the imputed table bit for bit."""
+class TestKeptCodec:
+    """to_bytes writes the kept section a bit-by-bit reference sets, and
+    from_bytes reads back the imputed table bit for bit."""
 
     @pytest.mark.parametrize("padding", [sp.ZERO, sp.CODEBOOK])
     @pytest.mark.parametrize(
         "pattern", ["nothing_pruned", "everything_pruned", "empty_and_full_rows", "random"]
     )
     def test_matches_reference_encoder(self, pattern, padding):
-        model, ds = flat_fm_model(3, 4, 5, seed=7)
+        model, ds = flat_fm_model(3, 4, 11, seed=7)
         table = model.embedding.values
         table[::2, 1] = -0.0
         offsets = model.embedding.offsets
@@ -402,11 +412,82 @@ class TestCsrCodec:
             flags, sp.impute(table, offsets, flags, fill), offsets, model.backbone, codebook, 0.5
         )
         blob = pruned.to_bytes()
-        assert _csr_section(blob) == reference_csr(flags, table)
+        assert dict(pruned_sections(blob))[SECTION_KEPT] == reference_kept(flags, table)
         back = sp.PrunedModel.from_bytes(blob)
         assert back.padding == padding
         assert np.array_equal(back.flags, flags)
         assert back.effective_values().tobytes() == sp.impute(table, offsets, flags, fill).tobytes()
+
+
+@pytest.fixture(scope="module")
+def fuzz_files():
+    """A zero- and a codebook-padded pruned file over a 6 x 11 table: two
+    bitmap bytes per row, the last with five padding bits."""
+    model, ds = flat_fm_model(2, 3, 11, seed=9)
+    scores = sp.score_magnitude(model)
+    codebook = sp.compute_codebook(model, ds)
+    return [
+        sp.prune(model, scores, 0.6).to_bytes(),
+        sp.prune(model, scores, 0.6, sp.CODEBOOK, codebook).to_bytes(),
+    ]
+
+
+def _well_formed_kept(payload, n=6, d=11):
+    """The reader's two rules, spelled out byte by byte: no bit set past
+    column d - 1 of any row, and one f64 after the bitmap per set bit."""
+    width = (d + 7) // 8
+    if len(payload) < n * width:
+        return False
+    padding = (1 << (8 * width - d)) - 1
+    if any(payload[(row + 1) * width - 1] & padding for row in range(n)):
+        return False
+    return len(payload) == n * width + 8 * sum(bin(b).count("1") for b in payload[: n * width])
+
+
+class TestKeptSectionFuzz:
+    """A damaged pruned file is refused with a CheckpointError and nothing
+    else; a crafted kept section that keeps both rules loads and re-encodes
+    to the same bytes."""
+
+    def test_every_truncation_is_refused(self, fuzz_files):
+        from shapprune import serialization as ser
+
+        for blob in fuzz_files:
+            body = blob[len(ser.MAGIC) + 4 : -4]
+            for cut in range(len(body)):
+                for damaged in (blob[: len(ser.MAGIC) + 4 + cut], ser.seal(body[:cut])):
+                    with pytest.raises(CheckpointError):
+                        sp.PrunedModel.from_bytes(damaged)
+
+    @staticmethod
+    def check(blob, payload):
+        crafted = _with_kept_section(blob, payload)
+        if _well_formed_kept(payload):
+            assert sp.PrunedModel.from_bytes(crafted).to_bytes() == crafted
+        else:
+            with pytest.raises(CheckpointError):
+                sp.PrunedModel.from_bytes(crafted)
+
+    @given(which=st.integers(0, 1), payload=st.binary(max_size=6 * 2 + 8 * 66 + 16))
+    @settings(max_examples=150, deadline=None)
+    def test_random_payload(self, fuzz_files, which, payload):
+        self.check(fuzz_files[which], payload)
+
+    @given(
+        which=st.integers(0, 1),
+        bitmap=st.binary(min_size=12, max_size=12),
+        clear_padding=st.booleans(),
+        extra=st.integers(-9, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_bitmap(self, fuzz_files, which, bitmap, clear_padding, extra, seed):
+        # each row's second byte holds columns 8-10 in its top bits, then padding
+        columns = bytearray(bitmap)
+        columns[1::2] = bytes(b & 0xE0 for b in bitmap[1::2])
+        count = max(0, 8 * sum(bin(b).count("1") for b in columns) + extra)
+        values = np.random.default_rng(seed).bytes(count)
+        self.check(fuzz_files[which], bytes(columns if clear_padding else bitmap) + values)
 
 
 class TestLayoutCheck:
@@ -461,8 +542,8 @@ class TestCompression:
         scores = sp.score_magnitude(model)
         pruned = sp.prune(model, scores, 0.95, frequencies=ds.frequencies)
         dense_bytes = n * d * 8
-        csr_bytes = (pruned.n + 1) * 8 + 12 * pruned.kept_count
-        assert dense_bytes >= 10 * csr_bytes
+        kept_bytes = len(dict(pruned_sections(pruned.to_bytes()))[SECTION_KEPT])
+        assert dense_bytes >= 10 * kept_bytes
         from shapprune.model import model_to_bytes
 
         assert len(pruned.to_bytes()) < len(model_to_bytes(model))
@@ -501,6 +582,15 @@ class TestAuc:
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
         preds = np.round(rng.random(60), 1)  # force ties
+        assert sp.auc_rank(labels, preds) == pytest.approx(
+            pairwise_auc_reference(labels, preds), abs=1e-12
+        )
+
+
+    def test_heavy_ties_match_pair_counting_reference(self):
+        rng = np.random.default_rng(11)
+        labels = rng.integers(0, 2, 400)
+        preds = rng.integers(0, 4, 400) / 4.0  # four tie groups of ~100 values
         assert sp.auc_rank(labels, preds) == pytest.approx(
             pairwise_auc_reference(labels, preds), abs=1e-12
         )
