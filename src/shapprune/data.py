@@ -4,8 +4,9 @@ Input rows are headerless CSV: column 0 is the binary label, columns 1..m
 hold exactly one token per field (multi-valued fields are out of scope by
 construction of this layout). Numeric fields are bucketed to log2 tokens
 before any vocabulary lookup, so downstream code only ever sees categorical
-ids. Every field always materializes an out-of-vocabulary id as its last
-slot, even when no token maps to it.
+ids; a numeric cell that is not a finite number (inf, nan, text) has no
+bucket and is kept as its own token. Every field always materializes an
+out-of-vocabulary id as its last slot, even when no token maps to it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import json
 import math
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,18 +99,16 @@ def bucketize_numeric(value) -> str:
 
 
 def _cell_token(kind: str, cell: str) -> str:
+    if cell == "":
+        return MISSING_TOKEN
     if kind == NUMERIC_BUCKETED:
-        if cell == "":
-            return MISSING_TOKEN
         try:
             x = float(cell)
         except ValueError:
-            # already-tokenized content (bucket labels, reserved tokens)
-            # passes through to the vocabulary lookup untouched
+            # text that is not a number (reserved tokens, for one) passes
+            # through to the vocabulary lookup untouched
             return cell
-        return bucketize_numeric(x)
-    if cell == "":
-        return MISSING_TOKEN
+        return bucketize_numeric(x) if math.isfinite(x) else cell
     return cell
 
 
@@ -130,6 +130,24 @@ def _check_width(row, m: int, row_number: int) -> None:
         raise DataError(
             f"row {row_number}: expected {m + 1} columns (label + {m} fields), got {len(row)}"
         )
+
+
+def _token_columns(raw_rows, schema: FieldSchema) -> tuple:
+    """(labels, columns) of raw rows: each row's 0/1 label, and per field the
+    tokens of its cells in row order. Rows are checked in order, each width
+    before its label, so an error names the first malformed row."""
+    m = schema.field_count
+    rows = list(raw_rows)
+    labels = []
+    for row_number, row in enumerate(rows, 1):
+        _check_width(row, m, row_number)
+        labels.append(_parse_label(row[0], row_number))
+    if not rows:
+        raise DataError("empty dataset")
+    columns = list(zip(*rows))[1:]
+    return labels, [
+        [_cell_token(kind, cell) for cell in column] for kind, column in zip(schema.kinds, columns)
+    ]
 
 
 @dataclass(frozen=True)
@@ -180,12 +198,6 @@ class Vocabulary:
 
     def oov_id(self, field: int) -> int:
         return int(self.offsets[field + 1]) - 1
-
-    def encode_token(self, field: int, token: str) -> int:
-        local = self.tables[field].get(token)
-        if local is None:
-            return self.oov_id(field)
-        return int(self.offsets[field]) + local
 
     @cached_property
     def _reverse(self) -> tuple:
@@ -254,25 +266,11 @@ def build_vocabulary(raw_rows, schema: FieldSchema, min_count: int = 0) -> Vocab
     id, and so does a cell spelled OOV_TOKEN, which is that id's own spelling
     (see Vocabulary.token_of) and never gets an id of its own.
     """
-    m = schema.field_count
-    counters = [dict() for _ in range(m)]
-    row_number = 0
-    for row in raw_rows:
-        row_number += 1
-        _check_width(row, m, row_number)
-        _parse_label(row[0], row_number)
-        for j in range(m):
-            token = _cell_token(schema.kinds[j], row[j + 1])
-            counters[j][token] = counters[j].get(token, 0) + 1
-    if row_number == 0:
-        raise DataError("empty dataset")
+    _, columns = _token_columns(raw_rows, schema)
     tables = []
-    for j in range(m):
-        kept = {}
-        for token, count in counters[j].items():
-            if count >= min_count and token != OOV_TOKEN:
-                kept[token] = len(kept)
-        tables.append(kept)
+    for column in columns:
+        kept = [t for t, count in Counter(column).items() if count >= min_count and t != OOV_TOKEN]
+        tables.append({t: k for k, t in enumerate(kept)})
     return Vocabulary(schema, tuple(tables), min_count)
 
 
@@ -333,20 +331,13 @@ def dataset_from_encoded(ids: np.ndarray, labels: np.ndarray, vocab: Vocabulary)
 def encode_rows(raw_rows, vocab: Vocabulary) -> Dataset:
     """Encode raw rows against a fixed vocabulary. Unknown tokens land on the
     field's OOV id; malformed rows raise with their 1-based row number."""
-    schema = vocab.schema
-    m = schema.field_count
-    ids_rows, labels = [], []
-    row_number = 0
-    for row in raw_rows:
-        row_number += 1
-        _check_width(row, m, row_number)
-        labels.append(_parse_label(row[0], row_number))
-        ids_rows.append(
-            [vocab.encode_token(j, _cell_token(schema.kinds[j], row[j + 1])) for j in range(m)]
-        )
-    if row_number == 0:
-        raise DataError("empty dataset")
-    return dataset_from_encoded(np.array(ids_rows, np.int64), np.array(labels, np.int64), vocab)
+    labels, columns = _token_columns(raw_rows, vocab.schema)
+    ids = np.empty((len(labels), vocab.field_count), np.int64)
+    for j, (table, column) in enumerate(zip(vocab.tables, columns)):
+        # a token the table lacks takes the field's last slot, its OOV id
+        ids[:, j] = [table.get(token, len(table)) for token in column]
+    ids += vocab.offsets[:-1]
+    return dataset_from_encoded(ids, np.array(labels, np.int64), vocab)
 
 
 def decode_rows(dataset: Dataset) -> list:

@@ -502,12 +502,15 @@ def write_head(w: ser.ByteWriter, kind: str, offsets: np.ndarray, n: int, d: int
 
 
 def read_head(r: ser.ByteReader) -> tuple:
-    """Inverse of write_head: (kind, offsets, n, d). The field offsets must
-    start at 0, strictly increase and end at n."""
+    """Inverse of write_head: (kind, offsets, n, d). There are m >= 1 fields
+    and d >= 1 columns, and the field offsets start at 0, strictly increase
+    and end at n."""
     tag = r.u8()
     if tag not in _TAG_BACKBONES:
         raise ser.CheckpointError(f"file does not hold a model (kind tag {tag})")
     m, n, d = r.u64(), r.u64(), r.u64()
+    if m == 0 or d == 0:
+        raise ser.CheckpointError(f"table has {m} fields and {d} columns; each must be at least 1")
     offsets = np.frombuffer(r.take(8 * (m + 1)), "<u8").astype(np.int64)
     if offsets[0] != 0 or (np.diff(offsets) <= 0).any() or offsets[-1] != n:
         raise ser.CheckpointError("field offsets do not split the table's rows into fields")

@@ -77,10 +77,9 @@ def synthetic_rows(config: SyntheticConfig) -> list:
     logit -= np.median(logit)
     labels = (rng.random(config.rows) < expit(logit)).astype(int)
 
-    rows = []
-    for k in range(config.rows):
-        rows.append([str(labels[k])] + [f"t{token_idx[j][k]}" for j in range(m)])
-    return rows
+    columns = [[str(y) for y in labels.tolist()]]
+    columns += [[f"t{i}" for i in idx.tolist()] for idx in token_idx]
+    return [list(row) for row in zip(*columns)]
 
 
 def synthetic_schema(config: SyntheticConfig) -> FieldSchema:

@@ -414,3 +414,105 @@ def batch_loss_mean(model, ids, labels):
     for row, label in zip(ids, labels):
         total += naive_log_loss(model, row, label)
     return total / len(labels)
+
+
+def reference_build_vocabulary(raw_rows, schema, min_count=0):
+    """build_vocabulary as a row-by-row, cell-by-cell loop: the form that
+    data._token_columns replaced, kept to check it against."""
+    from shapprune.data import OOV_TOKEN, _cell_token, _check_width, _parse_label
+
+    m = schema.field_count
+    counters = [dict() for _ in range(m)]
+    row_number = 0
+    for row in raw_rows:
+        row_number += 1
+        _check_width(row, m, row_number)
+        _parse_label(row[0], row_number)
+        for j in range(m):
+            token = _cell_token(schema.kinds[j], row[j + 1])
+            counters[j][token] = counters[j].get(token, 0) + 1
+    if row_number == 0:
+        raise sp.DataError("empty dataset")
+    tables = []
+    for j in range(m):
+        kept = {}
+        for token, count in counters[j].items():
+            if count >= min_count and token != OOV_TOKEN:
+                kept[token] = len(kept)
+        tables.append(kept)
+    return sp.Vocabulary(schema, tuple(tables), min_count)
+
+
+def _reference_encode_token(vocab, field, token):
+    local = vocab.tables[field].get(token)
+    if local is None:
+        return vocab.oov_id(field)
+    return int(vocab.offsets[field]) + local
+
+
+def reference_encode_rows(raw_rows, vocab):
+    """encode_rows as a row-by-row loop with one token lookup per cell."""
+    from shapprune.data import _cell_token, _check_width, _parse_label
+
+    schema = vocab.schema
+    m = schema.field_count
+    ids_rows, labels = [], []
+    row_number = 0
+    for row in raw_rows:
+        row_number += 1
+        _check_width(row, m, row_number)
+        labels.append(_parse_label(row[0], row_number))
+        ids_rows.append(
+            [
+                _reference_encode_token(vocab, j, _cell_token(schema.kinds[j], row[j + 1]))
+                for j in range(m)
+            ]
+        )
+    if row_number == 0:
+        raise sp.DataError("empty dataset")
+    return sp.dataset_from_encoded(np.array(ids_rows, np.int64), np.array(labels, np.int64), vocab)
+
+
+def reference_synthetic_rows(config):
+    """synthetic_rows with its rows built one at a time, indexing the numpy
+    label and token arrays once per cell."""
+    from scipy.special import expit
+    from shapprune.synth import (
+        LATENT_RANK,
+        NOISE_SCALE,
+        STRONG_POOL_FRACTION,
+        STRONG_SCALE,
+        ZIPF_EXPONENT,
+    )
+
+    rng = np.random.default_rng(config.seed)
+    m = config.fields
+
+    token_idx = []
+    latents = []
+    effects = []
+    for j in range(m):
+        size = config.tokens_per_field[j]
+        popularity = (1.0 + np.arange(size)) ** -ZIPF_EXPONENT
+        popularity /= popularity.sum()
+        token_idx.append(rng.choice(size, size=config.rows, p=popularity))
+        theta = rng.normal(0.0, NOISE_SCALE, (size, LATENT_RANK))
+        beta = np.zeros(size)
+        pool = max(2, int(size * STRONG_POOL_FRACTION))
+        strong = rng.choice(pool, size=max(2, size // 20), replace=False)
+        theta[strong] = rng.normal(0.0, STRONG_SCALE, (strong.shape[0], LATENT_RANK))
+        beta[strong] = rng.normal(0.0, 1.2, strong.shape[0])
+        latents.append(theta)
+        effects.append(beta)
+
+    active = np.stack([latents[j][token_idx[j]] for j in range(m)], axis=1)  # (rows, m, r)
+    total = active.sum(axis=1)
+    pair = 0.5 * ((total * total).sum(axis=1) - (active * active).sum(axis=(1, 2)))
+    logit = pair + sum(effects[j][token_idx[j]] for j in range(m))
+    logit -= np.median(logit)
+    labels = (rng.random(config.rows) < expit(logit)).astype(int)
+
+    rows = []
+    for k in range(config.rows):
+        rows.append([str(labels[k])] + [f"t{token_idx[j][k]}" for j in range(m)])
+    return rows

@@ -100,7 +100,7 @@ class TestAcceptance:
 
     def test_03_null_players(self, criterion, toy_model, toy_corpus):
         _, _, vocab, ds = toy_corpus
-        victim = vocab.encode_token(2, "d")
+        victim = vocab.offsets[2] + vocab.tables[2]["d"]
         keep = [k for k in range(len(ds)) if ds.ids[k, 2] != victim]
         sub = sp.dataset_from_encoded(ds.ids[keep], ds.labels[keep], vocab)
         inactive = np.ones(vocab.n, bool)

@@ -119,6 +119,22 @@ class TestPipeline:
         assert "mean_kept_dims=" in buckets[0]
         assert f"bytes={Path(toy_files['pruned']).stat().st_size} " in stdout.splitlines()[0]
 
+    def test_train_on_non_finite_numeric_cells(self, capsys, tmp_path):
+        """inf, -inf, 1e400 and nan have no log2 bucket; each is kept as its
+        own token instead of crashing the tokenizer."""
+        data, schema = str(tmp_path / "num.csv"), str(tmp_path / "schema.json")
+        vocab = str(tmp_path / "num.vocab")
+        cells = ["inf", "-inf", "1e400", "nan", "9"]
+        sp.write_csv_rows(data, [(k % 2, cell, "a") for k, cell in enumerate(cells)])
+        sp.FieldSchema(("num", "cat"), (sp.NUMERIC_BUCKETED, sp.CATEGORICAL)).save(schema)
+        code, _, stderr = run(
+            capsys,
+            "train", "--data", data, "--schema", schema, "--vocab-out", vocab,
+            "--out", str(tmp_path / "m.shvr"), "--dim", "2", "--epochs", "1",
+        )
+        assert code == 0, stderr
+        assert list(sp.Vocabulary.load(vocab).tables[0]) == cells[:4] + ["4"]
+
     def test_eval_pruned_model_with_fewer_features_than_buckets(self, capsys, tmp_path):
         """A one-field corpus keeps the single token a: a two-row table, so
         each frequency bucket holds one feature and none is empty."""
@@ -652,6 +668,26 @@ def _model_file(kind=sp.DEEPFM, offsets=(0, 2, 4, 7), layers=((3, 9), (3, 3), (1
     return ser.seal(w.getvalue())
 
 
+def _table_file(pruned, offsets, d):
+    """CRC-valid FM file, dense or pruned with zero padding, whose head
+    declares the given field offsets and column count; every parameter is
+    zero and every coordinate of a pruned one is pruned."""
+    n = offsets[-1]
+    w = ser.ByteWriter()
+    if pruned:
+        w.u8(ser.TAG_PRUNED)
+    write_head(w, sp.FM, np.array(offsets), n, d)
+    if pruned:
+        w.u8(0)  # padding code: zero
+        w.f64(1.0)  # sparsity
+    else:
+        w.array(np.zeros(n * d, "<f8"))
+    write_backbone(w, sp.BackboneParams(sp.FM, 0.0, np.zeros(n), []))
+    if pruned:
+        w.section(ser.SECTION_KEPT, bytes(n * ((d + 7) // 8)))
+    return ser.seal(w.getvalue())
+
+
 def _flip_padding_code(pruned):
     """pruned's file with its padding code flipped between 0 (zero) and 1
     (codebook) and the CRC recomputed; the sections stay as written."""
@@ -700,6 +736,22 @@ MALFORMED = {
     ),
     "offsets_not_increasing": (
         sp.load_model, lambda files: _model_file(offsets=(0, 4, 2, 7)), "field offsets"
+    ),
+    "zero_fields": (sp.load_model, lambda files: _table_file(False, (0,), 3), "at least 1"),
+    "zero_columns": (
+        sp.load_model, lambda files: _table_file(False, (0, 2, 4, 7), 0), "at least 1"
+    ),
+    "no_rows_and_huge_d": (
+        sp.load_model, lambda files: _table_file(False, (0,), 2**62), "at least 1"
+    ),
+    "pruned_zero_fields": (
+        sp.load_pruned, lambda files: _table_file(True, (0,), 3), "at least 1"
+    ),
+    "pruned_zero_columns": (
+        sp.load_pruned, lambda files: _table_file(True, (0, 2, 4, 7), 0), "at least 1"
+    ),
+    "pruned_no_rows_and_huge_d": (
+        sp.load_pruned, lambda files: _table_file(True, (0,), 2**62), "at least 1"
     ),
     "codebook_padding_without_codebook": (
         sp.load_pruned, _codebook_padding_without_codebook, "codebook section"

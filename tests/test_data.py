@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shapprune as sp
+from helpers import reference_build_vocabulary, reference_encode_rows, reference_synthetic_rows
 from shapprune.serialization import CheckpointError
 
 
@@ -106,6 +107,22 @@ class TestVocabularyBuild:
         rows = self.rows() + [["1", "only-one-field"]]
         with pytest.raises(sp.DataError, match="row 5"):
             sp.build_vocabulary(rows, self.schema())
+
+    @pytest.mark.parametrize("encode", [False, True], ids=["build", "encode"])
+    @pytest.mark.parametrize(
+        "label_row, width_row, message",
+        [(3, 5, "row 3: label"), (5, 3, "row 3: expected 3 columns")],
+        ids=["label_first", "width_first"],
+    )
+    def test_first_malformed_row_is_reported(self, encode, label_row, width_row, message):
+        rows = [["1", "a", "x"] for _ in range(6)]
+        rows[label_row - 1] = ["2", "a", "x"]
+        rows[width_row - 1] = ["1", "a"]
+        with pytest.raises(sp.DataError, match=message):
+            if encode:
+                sp.encode_rows(rows, sp.build_vocabulary(self.rows(), self.schema()))
+            else:
+                sp.build_vocabulary(rows, self.schema())
 
     def test_bad_label_reports_row_number(self):
         rows = [["1", "a", "x"], ["7", "a", "x"]]
@@ -218,7 +235,7 @@ class TestEncoding:
 
     def test_encode_known_and_oov(self):
         ds = sp.encode_rows([["1", "9", "a"], ["0", "33", "unseen"]], self.vocab)
-        assert ds.ids[0, 0] == self.vocab.encode_token(0, "4")
+        assert ds.ids[0, 0] == self.vocab.offsets[0] + self.vocab.tables[0]["4"]
         # 33 buckets to 6, never seen in the build rows, so it lands on OOV
         assert ds.ids[1, 0] == self.vocab.oov_id(0)
         assert ds.ids[1, 1] == self.vocab.oov_id(1)
@@ -243,6 +260,17 @@ class TestEncoding:
         again = sp.encode_rows(sp.decode_rows(ds), vocab)
         assert np.array_equal(again.ids, ds.ids)
 
+    def test_non_finite_numeric_cells_are_their_own_tokens(self):
+        rows = [["1", "inf", "a"], ["0", "-inf", "a"], ["1", "1e400", "b"], ["0", "nan", "b"],
+                ["1", "9", "a"]]
+        vocab = sp.build_vocabulary(rows, self.schema)
+        assert list(vocab.tables[0]) == ["inf", "-inf", "1e400", "nan", "4"]
+        ds = sp.encode_rows(rows, vocab)
+        assert ds.ids[:, 0].tolist() == [0, 1, 2, 3, 4]
+        again = sp.encode_rows(sp.decode_rows(ds), vocab)
+        assert np.array_equal(again.ids, ds.ids)
+        assert np.array_equal(again.labels, ds.labels)
+
     def test_decode_uses_representative_numeric_values(self):
         ds = sp.encode_rows([["1", "9", "a"]], self.vocab)
         decoded = sp.decode_rows(ds)[0]
@@ -253,8 +281,9 @@ class TestEncoding:
     def test_token_of_round_trip(self):
         for fid in range(self.vocab.n):
             field = int(self.vocab.feature_fields[fid])
-            token = self.vocab.token_of(fid)
-            assert self.vocab.encode_token(field, token) == fid
+            table = self.vocab.tables[field]
+            local = table.get(self.vocab.token_of(fid), len(table))
+            assert self.vocab.offsets[field] + local == fid
 
     def test_token_of_out_of_range(self):
         with pytest.raises(sp.DataError, match="out of range"):
@@ -370,3 +399,79 @@ class TestDatasetProperties:
         off = vocab.offsets
         for j in range(m):
             assert ds.frequencies[off[j]:off[j + 1]].sum() == len(rows)
+
+
+FIELD_KINDS = (sp.CATEGORICAL, sp.NUMERIC_BUCKETED)
+NUMERIC_CELLS = ("2", "2.5", "-3", "9", "1024", "inf", "-inf", "1e400", "nan", "abc", "")
+CATEGORICAL_CELLS = ("a", "b", "c", "2", "")
+LABEL_CELLS = ("0", "1", "1.0", " 0")
+
+
+@st.composite
+def raw_row_sets(draw):
+    """A schema of both field kinds and two raw row sets over it: cells from
+    small pools with empty, <oov>-spelled and non-finite numeric text, and
+    now and then one row with a bad label or a wrong width."""
+    kinds = draw(st.lists(st.sampled_from(FIELD_KINDS), min_size=1, max_size=4))
+    schema = sp.FieldSchema(tuple(f"f{j}" for j in range(len(kinds))), tuple(kinds))
+    cells = [
+        st.sampled_from((NUMERIC_CELLS if kind == sp.NUMERIC_BUCKETED else CATEGORICAL_CELLS)
+                        + (sp.OOV_TOKEN,))
+        for kind in kinds
+    ]
+    row = st.tuples(st.sampled_from(LABEL_CELLS), *cells).map(list)
+
+    def row_set():
+        rows = draw(st.lists(row, max_size=12))
+        fault = draw(st.sampled_from((None, None, None, "label", "width")))
+        if fault and rows:
+            k = draw(st.integers(0, len(rows) - 1))
+            if fault == "label":
+                rows[k][0] = draw(st.sampled_from(("2", "", "yes")))
+            else:
+                rows[k] = rows[k][:-1] if draw(st.booleans()) else rows[k] + ["extra"]
+        return rows
+
+    return schema, row_set(), row_set()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except sp.DataError as exc:
+        return str(exc)
+
+
+class TestColumnTokenizer:
+    """build_vocabulary and encode_rows against the row-by-row loops they
+    replaced (tests/helpers.py): the same bytes, ids, labels and errors."""
+
+    @given(raw_row_sets(), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_row_loop(self, case, min_count):
+        schema, build_rows, other_rows = case
+        vocab = _outcome(sp.build_vocabulary, build_rows, schema, min_count)
+        expected = _outcome(reference_build_vocabulary, build_rows, schema, min_count)
+        if isinstance(expected, str):
+            assert vocab == expected
+            return
+        assert vocab.to_bytes() == expected.to_bytes()
+        for rows in (build_rows, other_rows):
+            ds = _outcome(sp.encode_rows, rows, vocab)
+            want = _outcome(reference_encode_rows, rows, vocab)
+            if isinstance(want, str):
+                assert ds == want
+            else:
+                assert np.array_equal(ds.ids, want.ids)
+                assert np.array_equal(ds.labels, want.labels)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            sp.SyntheticConfig(fields=2, tokens_per_field=(3, 7), rows=50, seed=5),
+            sp.SyntheticConfig(fields=4, tokens_per_field=(400, 30, 2, 1000), rows=3000, seed=11),
+        ],
+        ids=["small", "wide"],
+    )
+    def test_synthetic_rows_match_the_row_loop(self, config):
+        assert sp.synthetic_rows(config) == reference_synthetic_rows(config)
