@@ -89,10 +89,15 @@ class FieldSchema:
 
 def bucketize_numeric(value) -> str:
     """Token for a raw numeric value: ceil(log2 x) above 2, the integer part
-    at or below 2, a reserved token when missing."""
+    at or below 2, a reserved token when missing. A non-finite value (inf,
+    -inf, nan) has no bucket and raises ValueError; the CSV tokenizer
+    (_cell_token) keeps such a cell as its own token and never calls this
+    with it."""
     if value is None:
         return MISSING_TOKEN
     x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"cannot bucketize non-finite value {value!r}")
     if x > 2:
         return str(math.ceil(math.log2(x)))
     return str(int(x))

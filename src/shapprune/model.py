@@ -10,18 +10,14 @@ pre-sigmoid score of an instance with active ids (i_1..i_m) is
 where pairwise is the usual half-of-square-minus-sum-of-squares form, summed
 over embedding columns. Predictions are sigmoid(z) clamped away from 0 and 1.
 
-Training is mini-batch Adam. A batch touches few of the table's rows, so its
-embedding and linear gradients are computed as a block over the touched rows
-only. Training renumbers the rows in the order the data first touches them,
-so the rows touched so far are a prefix of the table. Each step decays both
-Adam moments over that prefix, adds the gradient terms at the batch's rows
-alone, and moves the prefix, all in place in preallocated scratch buffers;
-the bias and MLP are stepped in full. A row past the prefix has never had a
-gradient, so both its moments are +0.0 and dense Adam's step for it is +0.0,
-which leaves it bit for bit as it was. Per coordinate this is the arithmetic
-of dense Adam over a full-size gradient that is zero off the touched rows, so
-the trained parameters are bit-identical to dense Adam's (see train for the
-one signed-zero exception).
+Training is mini-batch lazy Adam, as in TF's LazyAdam and PyTorch's
+SparseAdam. A batch touches few of the table's rows, so its embedding and
+linear gradients are computed as a block over the touched rows only, and
+each step updates both Adam moments and the parameters of those rows alone,
+with the bias correction of the global step count. A row the batch does not
+touch keeps its parameters and moments bit for bit, so a step's update
+costs O(U*d) in the U rows it touches, not O(n*d) in the table. The bias
+and the MLP get dense Adam.
 
 Everything runs in float64 and is deterministic under a fixed seed; training
 the same config twice yields byte-identical checkpoints.
@@ -29,9 +25,8 @@ the same config twice yields byte-identical checkpoints.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -337,18 +332,22 @@ def _views(flat: np.ndarray, layers) -> list:
     return out
 
 
-def _first_touch_order(ids: np.ndarray, order: np.ndarray, batch_size: int, n: int):
-    """Rows in order of the batch that first touches them when the instances
-    of ids (N, m) are taken in order in batches of batch_size, ties in row
-    order, and rows no instance holds last: (perm (n,), live_at), where
-    live_at[b] is how many rows batches 0..b touch. A later epoch holds the
-    same instances, so it touches no row past live_at[-1]."""
-    batches = -(-ids.shape[0] // batch_size)
-    first = np.full(n, batches)
-    per_batch = ids.shape[1] * batch_size
-    np.minimum.at(first, ids[order].ravel(), np.arange(ids.size) // per_batch)
-    live_at = np.cumsum(np.bincount(first, minlength=batches + 1)[:batches]).tolist()
-    return np.argsort(first, kind="stable"), live_at
+def _adam_delta(m1, m2, g, step: int, learning_rate: float) -> np.ndarray:
+    """One Adam update of the moments m1 and m2 with the gradient g, in
+    place, and the step the parameters move by, in a new array:
+    learning_rate * (m1 / c1) / (sqrt(m2 / c2) + ADAM_EPS), where c1 and c2
+    are the bias corrections of the given step count."""
+    m1 *= BETA1
+    m1 += (1.0 - BETA1) * g
+    m2 *= BETA2
+    m2 += (1.0 - BETA2) * (g * g)
+    delta = np.divide(m1, 1.0 - BETA1 ** step)
+    delta *= learning_rate
+    root = np.divide(m2, 1.0 - BETA2 ** step)
+    np.sqrt(root, out=root)
+    root += ADAM_EPS
+    delta /= root
+    return delta
 
 
 def train(
@@ -359,37 +358,36 @@ def train(
     padding=None,
     log_fn=None,
 ) -> Model:
-    """Mini-batch Adam on the log loss. Deterministic for a fixed config.
+    """Mini-batch lazy Adam on the log loss. Deterministic for a fixed config.
 
-    The embedding and linear rows are renumbered in the order the epoch-0
-    batches first touch them (see _first_touch_order), and a step covers
-    only the rows touched so far, a prefix of live rows: it decays both
-    moments of those rows, adds the gradient terms at the rows the batch
-    touches (the rest of the prefix has a zero gradient), and moves the
-    prefix by its bias-corrected Adam step. The bias and the MLP, one flat
-    vector that the returned model's layers are views of, are stepped in
-    full. A row past the prefix has both moments +0.0, so dense Adam would
-    move it by (0/c1)*lr / (sqrt(0/c2)+eps) = +0.0, and p - 0.0 is p bit for
-    bit, -0.0 included; skipping it changes nothing. Each row gets the same
-    gradient under any numbering, as _row_sums adds in instance order. The
-    arithmetic per coordinate is that of dense Adam, so the trained
-    parameters are bit-identical to it, with one exception: dense Adam adds
-    a zero gradient term to a row the batch does not touch, which turns a
-    first moment that underflowed to -0.0 into +0.0, and a parameter that
-    is itself -0.0 then ends at -0.0 there and at +0.0 here. The step runs
-    in place in two scratch buffers per updated array; the renumbered copy
-    replaces the table, and the moments and buffers are freed before the
-    rows are put back in order, so peak memory stays at about five
-    tables.
+    Each step gathers the Adam moments of the rows the batch touches, one
+    (U, d+1) block per moment (a row's d embedding coordinates, then its
+    linear weight), updates them with the batch's gradient block, scatters
+    them back and moves those rows by the bias-corrected step of the global
+    step count. Every other row keeps its parameters and moments bit for
+    bit. The bias and the MLP, one flat vector that the returned model's
+    layers are views of, get dense Adam. Beyond the parameters, training
+    holds the two moments, about two tables, and per step only arrays the
+    size of the batch.
 
     With a mask, the masked embedding coordinates are pinned to their padding
     values (zero or the codebook row) before the first step and their
-    gradients are zeroed, so they never move. The input model is not
-    modified; a trained copy is returned.
+    gradients are zeroed, so their moments stay +0.0, their step is exactly
+    0.0 and they never move. The input model is not modified: a trained
+    model is returned that shares init's vocabulary and codebook and owns
+    copies of the arrays training writes.
     """
-    if init is not None:
+    if init is None:
+        model = init_model(dataset.vocab, config)
+    else:
         dataset.vocab.check_layout(init.embedding.n, init.embedding.offsets)
-    model = copy.deepcopy(init) if init is not None else init_model(dataset.vocab, config)
+        # the MLP layers become views of a fresh flat vector below
+        model = Model(
+            EmbeddingTable(init.embedding.values.copy(), init.embedding.offsets),
+            replace(init.backbone, linear=init.backbone.linear.copy()),
+            init.vocab,
+            init.codebook,
+        )
     table = model.embedding
     backbone = model.backbone
 
@@ -399,46 +397,30 @@ def train(
             raise ValueError("mask shape does not match the embedding table")
         flags = mask.dense()
         table.values = impute(table.values, table.offsets, flags, padding)
-
-    # Train with the rows renumbered in first-touch order (see
-    # _first_touch_order), so that every step's touched rows lie in a prefix
-    # [:live] of the table; inv maps a row to its new number.
-    shuffle_rng = np.random.default_rng((config.seed, 1))
-    count = len(dataset)
-    order = shuffle_rng.permutation(count)
-    n = table.n
-    perm, live_at = _first_touch_order(dataset.ids, order, config.batch_size, n)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(n)
-    ids = inv[dataset.ids]
-    values = table.values[perm]
-    table.values = None
-    backbone.linear = backbone.linear[perm]
-    if flags is not None:
-        flags = flags[perm]
-    del perm
+    values, linear = table.values, backbone.linear
+    n, d = values.shape
 
     # The bias and every MLP weight and bias are stepped as one flat vector,
     # which the backbone's layers become views of: one Adam update in place
     # of one per array, which is most of a small model's step.
     head = np.concatenate([[backbone.bias]] + [p.ravel() for pair in backbone.layers for p in pair])
     backbone.layers = _views(head[1:], backbone.layers)
-    params = [values, backbone.linear, head]
-    moment1 = [np.zeros_like(p) for p in params]
-    moment2 = [np.zeros_like(p) for p in params]
-    scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+    # Row i of each row moment holds the moment of embedding row i, then of
+    # linear weight i, so one gather serves both arrays.
+    row_m1, row_m2 = np.zeros((n, d + 1)), np.zeros((n, d + 1))
+    head_m1, head_m2 = np.zeros_like(head), np.zeros_like(head)
 
+    shuffle_rng = np.random.default_rng((config.seed, 1))
+    count = len(dataset)
     step = 0
     for epoch in range(config.epochs):
-        if epoch > 0:
-            order = shuffle_rng.permutation(count)
+        order = shuffle_rng.permutation(count)
         epoch_loss = 0.0
         for batch_index, start in enumerate(range(0, count, config.batch_size)):
             take = order[start : start + config.batch_size]
-            live = live_at[batch_index if epoch == 0 else -1]
             try:
                 loss, rows, grads = _batch_gradients(
-                    values[:live], backbone, ids[take], dataset.labels[take]
+                    values, backbone, dataset.ids[take], dataset.labels[take]
                 )
             except NonFiniteError:
                 raise TrainingDiverged(
@@ -446,48 +428,26 @@ def train(
                 ) from None
             if flags is not None:
                 grads.embedding[flags[rows]] = 0.0
+            step += 1
+            m1, m2 = row_m1.take(rows, 0), row_m2.take(rows, 0)
+            delta = _adam_delta(
+                m1, m2, np.column_stack((grads.embedding, grads.linear)), step,
+                config.learning_rate,
+            )
+            row_m1[rows], row_m2[rows] = m1, m2
+            # take gathers faster than the fancy index in values[rows] -= ...
+            part = values.take(rows, 0)
+            part -= delta[:, :d]
+            values[rows] = part
+            linear[rows] -= delta[:, d]
             head_grad = np.concatenate(
                 [[grads.bias]] + [g.ravel() for pair in grads.layers for g in pair]
             )
-            step += 1
-            correct1 = 1.0 - BETA1 ** step
-            correct2 = 1.0 - BETA2 ** step
-            for p, g, at, m1, m2, (s1, s2) in zip(
-                params, (grads.embedding, grads.linear, head_grad), (rows, rows, None),
-                moment1, moment2, scratch,
-            ):
-                if at is not None and live < n:
-                    # rows past live have zero moments, so their step would be +0.0
-                    p, m1, m2, s1, s2 = p[:live], m1[:live], m2[:live], s1[:live], s2[:live]
-                m1 *= BETA1
-                m2 *= BETA2
-                if at is None:
-                    m1 += (1.0 - BETA1) * g
-                    m2 += (1.0 - BETA2) * (g * g)
-                else:
-                    # gather into scratch, add, scatter back: about half the
-                    # cost of m1[at] += ..., which gathers into a new array
-                    part = m1.take(at, 0, s1[: at.shape[0]])
-                    m1[at] = np.add(part, (1.0 - BETA1) * g, out=part)
-                    part = m2.take(at, 0, part)
-                    m2[at] = np.add(part, (1.0 - BETA2) * (g * g), out=part)
-                # p -= learning_rate * (m1 / correct1) / (sqrt(m2 / correct2) + ADAM_EPS)
-                np.divide(m1, correct1, out=s1)
-                s1 *= config.learning_rate
-                np.divide(m2, correct2, out=s2)
-                np.sqrt(s2, out=s2)
-                s2 += ADAM_EPS
-                s1 /= s2
-                p -= s1
+            head -= _adam_delta(head_m1, head_m2, head_grad, step, config.learning_rate)
             backbone.bias = float(head[0])
             epoch_loss += loss * take.shape[0]
         if log_fn is not None:
             log_fn(epoch, epoch_loss / count)
-
-    # free the moments and buffers before un-permuting allocates a table
-    del moment1, moment2, scratch
-    table.values = values[inv]
-    backbone.linear = backbone.linear[inv]
     return model
 
 

@@ -226,9 +226,22 @@ def dense_batch_gradients(values, backbone, ids, labels):
 
 
 def dense_adam_train(dataset, config, init=None, mask=None, padding=None):
-    """Mini-batch Adam that updates every coordinate of every parameter,
-    one array at a time, from full-size gradients: the reference that
-    train must match bit for bit."""
+    """Mini-batch Adam that updates every coordinate of every parameter, one
+    array at a time, from full-size gradients: the optimizer that lazy Adam
+    replaced, kept as a quality reference."""
+    return _reference_adam_train(dataset, config, init, mask, padding, lazy=False)
+
+
+def lazy_adam_train(dataset, config, init=None, mask=None, padding=None):
+    """Mini-batch lazy Adam from full-size gradients: the embedding and
+    linear moments and parameters change only at the rows present in the
+    batch's ids, with the bias correction of the global step count, and the
+    bias and every MLP array get dense Adam, one array at a time. The
+    reference that train must match bit for bit."""
+    return _reference_adam_train(dataset, config, init, mask, padding, lazy=True)
+
+
+def _reference_adam_train(dataset, config, init, mask, padding, lazy):
     import copy
 
     from shapprune.codebook import impute
@@ -256,13 +269,11 @@ def dense_adam_train(dataset, config, init=None, mask=None, padding=None):
     count = len(dataset)
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(count)
-        epoch_loss = 0.0
         for batch_index, start in enumerate(range(0, count, config.batch_size)):
             take = order[start : start + config.batch_size]
+            ids = dataset.ids[take]
             try:
-                loss, grads = dense_batch_gradients(
-                    values, backbone, dataset.ids[take], dataset.labels[take]
-                )
+                _, grads = dense_batch_gradients(values, backbone, ids, dataset.labels[take])
             except NonFiniteError:
                 raise sp.TrainingDiverged(
                     f"non-finite loss at epoch {epoch} batch {batch_index}"
@@ -271,17 +282,22 @@ def dense_adam_train(dataset, config, init=None, mask=None, padding=None):
                 grads.embedding[flags] = 0.0
             grad_list = [grads.embedding, grads.linear, np.array([grads.bias])]
             grad_list.extend(g for pair in grads.layers for g in pair)
+            rows = slice(None)
+            if lazy:
+                rows = np.zeros(values.shape[0], bool)
+                rows[ids.ravel()] = True
             step += 1
             correct1 = 1.0 - BETA1 ** step
             correct2 = 1.0 - BETA2 ** step
-            for p, g, m1, m2 in zip(params, grad_list, moment1, moment2):
-                m1 *= BETA1
-                m1 += (1.0 - BETA1) * g
-                m2 *= BETA2
-                m2 += (1.0 - BETA2) * (g * g)
-                p -= config.learning_rate * (m1 / correct1) / (np.sqrt(m2 / correct2) + ADAM_EPS)
+            for k, (p, g, m1, m2) in enumerate(zip(params, grad_list, moment1, moment2)):
+                at = rows if k < 2 else slice(None)
+                m1[at] = BETA1 * m1[at] + (1.0 - BETA1) * g[at]
+                m2[at] = BETA2 * m2[at] + (1.0 - BETA2) * (g[at] * g[at])
+                p[at] -= (
+                    config.learning_rate * (m1[at] / correct1)
+                    / (np.sqrt(m2[at] / correct2) + ADAM_EPS)
+                )
             backbone.bias = float(params[2][0])
-            epoch_loss += loss * take.shape[0]
     return model
 
 

@@ -33,6 +33,11 @@ class TestBucketize:
         for exp in range(2, 12):
             assert sp.bucketize_numeric(2.0 ** exp) == str(exp)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_value_is_a_named_value_error(self, value):
+        with pytest.raises(ValueError, match=f"non-finite value {value!r}"):
+            sp.bucketize_numeric(value)
+
 
 class TestSchema:
     def test_categorical_constructor(self):
