@@ -35,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import serialization as ser
 from .data import Dataset
@@ -48,6 +47,7 @@ from .model import (
     _linear_term,
     _mlp_tail,
     _pairwise,
+    _sigmoid,
     log_loss,
 )
 
@@ -145,7 +145,7 @@ def _removal_losses(model: Model, ids: np.ndarray, label, removed: np.ndarray):
     bool (K, m, d) stack, True where that (field, column) coordinate of the
     active rows is zeroed."""
     emb = model.embedding.values[ids] * ~removed
-    return log_loss(expit(_forward(model.backbone, ids, emb)[0]), label)
+    return log_loss(_sigmoid(_forward(model.backbone, ids, emb)[0]), label)
 
 
 def _visit_blocks(total_visits: int):
@@ -203,7 +203,7 @@ def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.nd
         z += _mlp_tail(backbone.layers, flat_pre).reshape(md + 1, B).T
     if not np.isfinite(z).all():
         raise NonFiniteError("non-finite score along a removal walk")
-    return log_loss(expit(z), labels[:, None])
+    return log_loss(_sigmoid(z), labels[:, None])
 
 
 def _run_block(model: Model, dataset: Dataset, seed: int, span) -> np.ndarray:

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import serialization as ser
 from .codebook import Codebook, codebook_from_section, codebook_section_payload, impute
@@ -208,6 +207,13 @@ def _forward(backbone: BackboneParams, ids: np.ndarray, emb: np.ndarray, acts=No
     return z, total
 
 
+def _sigmoid(z):
+    """1 / (1 + exp(-z)) elementwise. A score below about -709 overflows
+    exp(-z) to inf and gives exactly 0.0, without a warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def clamp_probability(p):
     return np.clip(p, EPS, 1.0 - EPS)
 
@@ -222,7 +228,7 @@ def predict_proba_values(values, backbone, ids_matrix, batch_size: int = 8192) -
     for start in range(0, ids_matrix.shape[0], batch_size):
         chunk = ids_matrix[start : start + batch_size]
         z = _forward(backbone, chunk, values[chunk])[0]
-        out[start : start + chunk.shape[0]] = clamp_probability(expit(z))
+        out[start : start + chunk.shape[0]] = clamp_probability(_sigmoid(z))
     return out
 
 
@@ -293,7 +299,7 @@ def _batch_gradients(values, backbone, ids, labels, scale=None):
     acts = []
     z, total = _forward(backbone, ids, emb, acts)
 
-    p = expit(z)
+    p = _sigmoid(z)
     y = labels.astype(np.float64)
     loss = float(np.mean(log_loss(p, y)))
     dz = scale * (p - y)

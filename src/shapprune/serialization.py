@@ -145,7 +145,10 @@ class ByteReader:
         return struct.unpack("<d", self.take(8))[0]
 
     def text(self) -> str:
-        return str(self.take(self.u32()), "utf-8")
+        try:
+            return str(self.take(self.u32()), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"text is not valid UTF-8: {exc.reason}") from None
 
     def sections(self):
         """Yield (tag, payload) for the framed sections occupying the rest

@@ -16,10 +16,10 @@ out-of-vocabulary ones included, occurring in the data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import FieldSchema
 
@@ -75,7 +75,7 @@ def synthetic_rows(config: SyntheticConfig) -> list:
     pair = 0.5 * ((total * total).sum(axis=1) - (active * active).sum(axis=(1, 2)))
     logit = pair + sum(effects[j][token_idx[j]] for j in range(m))
     logit -= np.median(logit)
-    labels = (rng.random(config.rows) < expit(logit)).astype(int)
+    labels = (rng.random(config.rows) < 1.0 / (1.0 + np.exp(-logit))).astype(int)
 
     columns = [[str(y) for y in labels.tolist()]]
     columns += [[f"t{i}" for i in idx.tolist()] for idx in token_idx]
@@ -126,6 +126,6 @@ def toy_rows(seed: int = 0) -> tuple:
             logit += 1.5
         if groups[1] == "<oov>" and groups[2] == "c":
             logit -= 1.3
-        label = int(rng.random() < expit(logit))
+        label = int(rng.random() < 1.0 / (1.0 + math.exp(-logit)))
         rows.append([str(label), *tokens])
     return rows, FieldSchema.categorical(3)

@@ -532,3 +532,46 @@ def reference_synthetic_rows(config):
     for k in range(config.rows):
         rows.append([str(labels[k])] + [f"t{token_idx[j][k]}" for j in range(m)])
     return rows
+
+
+def reference_toy_rows(seed=0):
+    """toy_rows as it was written with scipy's expit, word for word: the
+    pinned toy corpus that the acceptance criteria and the toy benchmark
+    workload are built on."""
+    from scipy.special import expit
+    from shapprune.data import FieldSchema
+
+    rng = np.random.default_rng(seed)
+    rows_count = 40
+
+    def column(spec):
+        col = []
+        for token, count in spec:
+            col.extend([token] * count)
+        assert len(col) == rows_count
+        rng.shuffle(col)
+        return col
+
+    col0 = column([("a", 34), ("r1", 3), ("r2", 2), ("r3", 1)])
+    col1 = column([("b", 33), ("r4", 3), ("r5", 3), ("r6", 1)])
+    col2 = column([("c", 18), ("d", 14), ("r7", 3), ("r8", 3), ("r9", 2)])
+
+    kept = {0: {"a"}, 1: {"b"}, 2: {"c", "d"}}
+    weight = {
+        (0, "a"): 1.2, (0, "<oov>"): -0.8,
+        (1, "b"): -0.5, (1, "<oov>"): 1.0,
+        (2, "c"): 0.9, (2, "d"): -1.1, (2, "<oov>"): 0.3,
+    }
+
+    rows = []
+    for k in range(rows_count):
+        tokens = (col0[k], col1[k], col2[k])
+        groups = [t if t in kept[j] else "<oov>" for j, t in enumerate(tokens)]
+        logit = sum(weight[(j, g)] for j, g in enumerate(groups))
+        if groups[0] == "a" and groups[2] == "d":
+            logit += 1.5
+        if groups[1] == "<oov>" and groups[2] == "c":
+            logit -= 1.3
+        label = int(rng.random() < expit(logit))
+        rows.append([str(label), *tokens])
+    return rows, FieldSchema.categorical(3)

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shapprune as sp
-from helpers import reference_build_vocabulary, reference_encode_rows, reference_synthetic_rows
+from helpers import (
+    reference_build_vocabulary,
+    reference_encode_rows,
+    reference_synthetic_rows,
+    reference_toy_rows,
+)
 from shapprune.serialization import CheckpointError
 
 
@@ -194,19 +199,26 @@ class TestVocabularySerialization:
     @staticmethod
     def crafted(fields):
         """A CRC-valid vocabulary file over (name, tokens) pairs, written
-        without any of Vocabulary's own checks."""
+        without any of Vocabulary's own checks. A name or token given as
+        bytes is written raw, so it need not be valid UTF-8."""
         from shapprune.serialization import TAG_VOCABULARY, ByteWriter, seal
 
         w = ByteWriter()
+
+        def text(value):
+            data = value if isinstance(value, bytes) else value.encode("utf-8")
+            w.u32(len(data))
+            w.raw(data)
+
         w.u8(TAG_VOCABULARY)
         w.u64(0)
         w.u64(len(fields))
         for name, tokens in fields:
-            w.text(name)
+            text(name)
             w.u8(0)
             w.u64(len(tokens))
             for token in tokens:
-                w.text(token)
+                text(token)
         return seal(w.getvalue())
 
     @pytest.mark.parametrize(
@@ -216,8 +228,11 @@ class TestVocabularySerialization:
             ([], "at least one field"),
             ([("f", ["a"]), ("f", ["b"])], "duplicate field names"),
             ([("f", ["a", sp.OOV_TOKEN])], "lists the reserved token"),
+            ([("f", ["a", b"b\xff"])], "not valid UTF-8"),
+            ([(b"f\xff", ["a"])], "not valid UTF-8"),
         ],
-        ids=["repeated_token", "zero_fields", "repeated_field_name", "oov_token"],
+        ids=["repeated_token", "zero_fields", "repeated_field_name", "oov_token",
+             "token_not_utf8", "field_name_not_utf8"],
     )
     def test_malformed_header_rejected(self, fields, message):
         with pytest.raises(CheckpointError, match=message):
@@ -480,3 +495,11 @@ class TestColumnTokenizer:
     )
     def test_synthetic_rows_match_the_row_loop(self, config):
         assert sp.synthetic_rows(config) == reference_synthetic_rows(config)
+
+
+class TestToyCorpus:
+    def test_toy_rows_are_pinned_to_the_expit_reference(self):
+        """The acceptance criteria and the toy benchmark workload are built
+        on this corpus, so its labels must not move by a rounding ulp."""
+        for seed in range(64):
+            assert sp.toy_rows(seed) == reference_toy_rows(seed)
