@@ -19,9 +19,11 @@ pairwise term by e * (S_c - e), S_c being that column's sum over the
 coordinates still present, and a DeepFM's first layer is linear in the flat
 embedding, so its pre-activations drop by the removed value times its weight
 column. Only the later MLP layers run per step, and the visits of a block
-are walked together in sub-batches. Every visit evaluates the payoff at its
-m * d + 1 steps; the returned metadata's forward_count tallies these payoff
-evaluations.
+are walked together in sub-batches. A block sums its marginals per touched
+row, and the blocks are merged into one running table in block order, so
+memory holds the table plus one block of marginals however many passes run.
+Every visit evaluates the payoff at its m * d + 1 steps; the returned
+metadata's forward_count tallies these payoff evaluations.
 
 An exact enumeration oracle covers small instances (m * d <= 22), along with
 two cheap baselines: absolute weight magnitude, and a first-order estimate
@@ -33,6 +35,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -47,7 +50,9 @@ from .model import (
     _linear_term,
     _mlp_tail,
     _pairwise,
+    _row_sums,
     _sigmoid,
+    _touched_rows,
     log_loss,
 )
 
@@ -61,10 +66,10 @@ _CODE_METHODS = {code: name for name, code in _METHOD_CODES.items()}
 
 EXACT_PLAYER_LIMIT = 22
 
-# Visits are processed in fixed-size blocks with a private accumulator each,
-# merged in block order. The block partition never depends on the number of
-# workers, which is what makes the estimate bit-identical for any thread
-# count.
+# Visits are processed in fixed-size blocks. A block sums its marginals per
+# touched row, and the sums are added into one running table in block order.
+# The block partition never depends on the number of workers, which is what
+# makes the estimate bit-identical for any thread count.
 _BLOCK_VISITS = 1024
 # Walk rows (one payoff each) computed together: a block's visits go through
 # _walk_losses in sub-batches of max(1, _WALK_ROWS // (md + 1)), which keeps
@@ -148,11 +153,6 @@ def _removal_losses(model: Model, ids: np.ndarray, label, removed: np.ndarray):
     return log_loss(_sigmoid(_forward(model.backbone, ids, emb)[0]), label)
 
 
-def _visit_blocks(total_visits: int):
-    for start in range(0, total_visits, _BLOCK_VISITS):
-        yield start, min(start + _BLOCK_VISITS, total_visits)
-
-
 def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.ndarray, work):
     """The payoff at every step of B removal walks, shape (B, md + 1): entry
     (b, k) is the loss of instance (ids[b], labels[b]) with the first k
@@ -206,11 +206,14 @@ def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.nd
     return log_loss(_sigmoid(z), labels[:, None])
 
 
-def _run_block(model: Model, dataset: Dataset, seed: int, span) -> np.ndarray:
+def _run_block(model: Model, dataset: Dataset, seed: int, total_visits: int, first: int):
+    """Touched rows (U,) and summed marginals (U, d) of the block of visits
+    from first on; each row adds its marginals in visit order from 0.0."""
     n, d = model.embedding.values.shape
     md = dataset.ids.shape[1] * d
-    count = len(dataset)
-    phi = np.zeros((n, d))
+    visits = np.arange(first, min(first + _BLOCK_VISITS, total_visits))
+    pass_idx, inst = np.divmod(visits, len(dataset))
+    marginals = np.empty((visits.shape[0], md))
     batch = max(1, _WALK_ROWS // (md + 1))
     # One scratch buffer for the whole block: allocating it per sub-batch
     # lets the allocator hand its pages back and fault them in again, which
@@ -226,21 +229,18 @@ def _run_block(model: Model, dataset: Dataset, seed: int, span) -> np.ndarray:
     generator = np.random.Generator(bitgen)
     fresh = bitgen.state
     counter = fresh["state"]["counter"]
-    for first in range(span[0], span[1], batch):
-        pass_idx, inst = np.divmod(np.arange(first, min(first + batch, span[1])), count)
-        perms = np.empty((inst.shape[0], md), np.int64)
-        for k, (p, i) in enumerate(zip(pass_idx, inst)):
+    for start in range(0, visits.shape[0], batch):
+        sub = slice(start, start + batch)
+        perms = np.empty((inst[sub].shape[0], md), np.int64)
+        for k, (p, i) in enumerate(zip(pass_idx[sub], inst[sub])):
             counter[2:] = p, i
             bitgen.state = fresh
             perms[k] = generator.permutation(md)
-        ids = dataset.ids[inst]
-        losses = _walk_losses(model, ids, dataset.labels[inst], perms, work)
+        losses = _walk_losses(model, dataset.ids[inst[sub]], dataset.labels[inst[sub]], perms, work)
         # the marginal of step k belongs to the coordinate removed at step k
-        local = np.empty(perms.shape)
-        local[np.arange(inst.shape[0])[:, None], perms] = np.diff(losses, axis=1)
-        # adds visit by visit, in visit order
-        np.add.at(phi, ids, local.reshape(ids.shape + (d,)))
-    return phi
+        marginals[sub][np.arange(perms.shape[0])[:, None], perms] = np.diff(losses, axis=1)
+    rows, where = _touched_rows(dataset.ids[inst], n)
+    return rows, _row_sums(where, rows.shape[0], marginals.reshape(-1, d))
 
 
 def estimate_shapley(
@@ -251,32 +251,35 @@ def estimate_shapley(
     Runs `passes` removal walks per instance and averages the scattered
     marginals over len(dataset) * passes walks. Identical inputs give
     identical scores for any `threads`; the forward counter in the result is
-    always (m * d + 1) * len(dataset) * passes.
+    always (m * d + 1) * len(dataset) * passes. The seed must lie in
+    [0, 2**64), the range a score file records.
     """
     dataset.vocab.check_layout(model.embedding.n, model.embedding.offsets)
     if passes < 1:
         raise ValueError("passes must be at least 1")
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    count = len(dataset)
-    md = dataset.ids.shape[1] * model.embedding.d
-    total_visits = passes * count
-    spans = list(_visit_blocks(total_visits))
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    total_visits = passes * len(dataset)
+    block = partial(_run_block, model, dataset, seed, total_visits)
+    firsts = range(0, total_visits, _BLOCK_VISITS)
+    # skipping untouched rows is exact: phi starts at +0.0, and no sum is -0.0
+    phi = np.zeros((model.embedding.n, model.embedding.d))
     if threads == 1:
-        parts = [_run_block(model, dataset, seed, span) for span in spans]
+        for rows, sums in map(block, firsts):
+            phi[rows] += sums
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda span: _run_block(model, dataset, seed, span), spans))
-    phi = np.zeros((model.embedding.n, model.embedding.d))
-    for part in parts:  # fixed merge order
-        phi += part
+            for rows, sums in pool.map(block, firsts):  # yields in block order
+                phi[rows] += sums
     phi /= total_visits
     return AttributionScores(
         phi,
         SHAPLEY,
         seed=seed,
         passes=passes,
-        forward_count=(md + 1) * total_visits,
+        forward_count=(dataset.ids.shape[1] * model.embedding.d + 1) * total_visits,
         dataset_fingerprint=dataset.fingerprint(),
     )
 

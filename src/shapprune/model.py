@@ -129,6 +129,12 @@ class TrainConfig:
             raise ValueError("embedding dim must be at least 1")
         if self.backbone == DEEPFM and any(h < 1 for h in self.hidden):
             raise ValueError("hidden sizes must be positive")
+        if self.epochs < 0:
+            raise ValueError("epochs must be at least 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
 def init_model(vocab: Vocabulary, config: TrainConfig) -> Model:
@@ -268,7 +274,7 @@ def _touched_rows(ids: np.ndarray, n: int):
 def _row_sums(where: np.ndarray, count: int, parts: np.ndarray) -> np.ndarray:
     """Sums of parts (K, ...) into count rows, part k going to row where[k]:
     shape (count, ...). Each row adds its parts in order of k starting from
-    0.0, so the result is bitwise what np.add.at into zeros gives, signed
+    0.0, so the result is bitwise an in-order scatter-add into zeros, signed
     zeros included; np.bincount does it several times faster."""
     width = math.prod(parts.shape[1:])
     bins = (where[:, None] * width + np.arange(width)).ravel()
@@ -284,7 +290,7 @@ def _batch_gradients(values, backbone, ids, labels, scale=None):
     gradient, so those two come back row-sparse: rows are the sorted
     distinct ids (U,), the embedding gradient is their (U, d) block and the
     linear gradient is (U,). Every other row's gradient is exactly 0.0, and
-    each touched row's is bitwise what np.add.at into a zero table gives
+    each touched row's is bitwise an in-order scatter-add into a zero table
     (see _row_sums).
 
     scale defaults to 1/B so gradients match the mean loss; pass 1.0 for

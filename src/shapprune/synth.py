@@ -40,6 +40,8 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.fields < 1:
+            raise ValueError("fields must be at least 1")
         if len(self.tokens_per_field) != self.fields:
             raise ValueError("tokens_per_field must list one size per field")
         if any(t < 2 for t in self.tokens_per_field):

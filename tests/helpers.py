@@ -35,6 +35,18 @@ def tiny_random_model(seed, kind, n_fields=3, field_size=2, dim=2, hidden=(4,)):
     return model, ids, labels
 
 
+def small_table_corpus(seed, n_fields=3, field_size=4, count=37, used=None):
+    """Random encoded dataset over a small table: with few rows per field,
+    rows repeat across the instances of every batch. Ids are drawn from the
+    first used rows of each field's block (all of it by default)."""
+    rng = np.random.default_rng(seed)
+    tables = tuple({f"f{f}t{k}": k for k in range(field_size - 1)} for f in range(n_fields))
+    vocab = sp.Vocabulary(sp.FieldSchema.categorical(n_fields), tables, 0)
+    ids = vocab.offsets[:-1] + rng.integers(0, used or field_size, (count, n_fields))
+    labels = rng.integers(0, 2, count)
+    return sp.dataset_from_encoded(ids.astype(np.int64), labels.astype(np.int64), vocab)
+
+
 def flat_fm_model(n_fields, field_size, dim, seed=0):
     """Plain FM with random parameters and a random encoded dataset."""
     rng = np.random.default_rng(seed)
@@ -196,6 +208,71 @@ def stacked_walk_shapley(model, dataset, passes, seed):
         losses = _removal_losses(model, ids, dataset.labels[inst_idx], removed)
         phi[ids] += np.diff(losses)[position].reshape(m, d)
     return phi / (passes * count)
+
+
+def reference_estimate_shapley(model, dataset, passes=1, seed=0, threads=1):
+    """estimate_shapley as it was with one (n, d) table per visit block:
+    each block scatters its marginals with np.add.at into its own zero
+    table, and the tables are kept in a list and summed in block order at
+    the end. The walk (_walk_losses) and the block and sub-batch sizes are
+    read from the library, so a monkeypatched size applies to both."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from shapprune import attribution
+    from shapprune.attribution import DEEPFM, SHAPLEY, AttributionScores, _walk_losses
+
+    def _visit_blocks(total_visits: int):
+        for start in range(0, total_visits, attribution._BLOCK_VISITS):
+            yield start, min(start + attribution._BLOCK_VISITS, total_visits)
+
+    def _run_block(model, dataset, seed: int, span) -> np.ndarray:
+        n, d = model.embedding.values.shape
+        md = dataset.ids.shape[1] * d
+        count = len(dataset)
+        phi = np.zeros((n, d))
+        batch = max(1, attribution._WALK_ROWS // (md + 1))
+        work = None
+        if model.backbone.kind == DEEPFM:
+            work = np.empty(((md + 1) * batch, model.backbone.layers[0][0].shape[0]))
+        bitgen = np.random.Philox(key=seed)
+        generator = np.random.Generator(bitgen)
+        fresh = bitgen.state
+        counter = fresh["state"]["counter"]
+        for first in range(span[0], span[1], batch):
+            pass_idx, inst = np.divmod(np.arange(first, min(first + batch, span[1])), count)
+            perms = np.empty((inst.shape[0], md), np.int64)
+            for k, (p, i) in enumerate(zip(pass_idx, inst)):
+                counter[2:] = p, i
+                bitgen.state = fresh
+                perms[k] = generator.permutation(md)
+            ids = dataset.ids[inst]
+            losses = _walk_losses(model, ids, dataset.labels[inst], perms, work)
+            local = np.empty(perms.shape)
+            local[np.arange(inst.shape[0])[:, None], perms] = np.diff(losses, axis=1)
+            np.add.at(phi, ids, local.reshape(ids.shape + (d,)))
+        return phi
+
+    count = len(dataset)
+    md = dataset.ids.shape[1] * model.embedding.d
+    total_visits = passes * count
+    spans = list(_visit_blocks(total_visits))
+    if threads == 1:
+        parts = [_run_block(model, dataset, seed, span) for span in spans]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(lambda span: _run_block(model, dataset, seed, span), spans))
+    phi = np.zeros((model.embedding.n, model.embedding.d))
+    for part in parts:  # fixed merge order
+        phi += part
+    phi /= total_visits
+    return AttributionScores(
+        phi,
+        SHAPLEY,
+        seed=seed,
+        passes=passes,
+        forward_count=(md + 1) * total_visits,
+        dataset_fingerprint=dataset.fingerprint(),
+    )
 
 
 def full_removal_jumps(model, ids, labels):

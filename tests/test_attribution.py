@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from helpers import (
     exact_local_shapley_reference,
     full_removal_jumps,
     permutation_shapley_reference,
+    reference_estimate_shapley,
+    small_table_corpus,
     stacked_walk_shapley,
     tiny_random_model,
 )
@@ -195,6 +198,47 @@ class TestEstimator:
         with pytest.raises(ValueError, match="threads"):
             sp.estimate_shapley(toy_model, ds, threads=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_the_recorded_range_is_refused(self, monkeypatch, toy_model, toy_corpus, seed):
+        _, _, _, ds = toy_corpus
+
+        def no_walk(*args):
+            raise AssertionError("a walk ran before the seed was checked")
+
+        monkeypatch.setattr(attribution, "_walk_losses", no_walk)
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            sp.estimate_shapley(toy_model, ds, seed=seed)
+
+    def test_largest_seed_round_trips(self, toy_model, toy_corpus):
+        _, _, _, ds = toy_corpus
+        scores = sp.estimate_shapley(toy_model, ds, seed=2**64 - 1)
+        assert sp.AttributionScores.from_bytes(scores.to_bytes()).seed == 2**64 - 1
+
+    def test_memory_does_not_grow_with_passes(self, monkeypatch):
+        # 96 rows in 64-visit blocks: 8 passes walk 12 blocks. The running
+        # table, one block of marginals and one sub-batch's walk temporaries
+        # (about 0.8 table here) peak near 2 table sizes at any pass count;
+        # a table held per block would add one per block.
+        monkeypatch.setattr(attribution, "_BLOCK_VISITS", 64)
+        ds = small_table_corpus(13, n_fields=2, field_size=1200, count=96)
+        model = sp.init_model(ds.vocab, sp.TrainConfig(backbone=sp.FM, dim=16, seed=0))
+        table_bytes = ds.vocab.n * 16 * 8
+        peaks = {}
+        outer = tracemalloc.is_tracing()
+        if not outer:
+            tracemalloc.start()
+        try:
+            for passes in (1, 8):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                sp.estimate_shapley(model, ds, passes=passes, seed=0)
+                peaks[passes] = (tracemalloc.get_traced_memory()[1] - before) / table_bytes
+        finally:
+            if not outer:
+                tracemalloc.stop()
+        assert peaks[8] < 2.5, f"peaks in table sizes: {peaks}"
+        assert peaks[8] - peaks[1] <= 0.25, f"peaks in table sizes: {peaks}"
+
     def test_vocabulary_layout_mismatch(self, toy_model):
         rows = [["1", "a"], ["0", "b"]]
         vocab = sp.build_vocabulary(rows, sp.FieldSchema.categorical(1))
@@ -228,6 +272,32 @@ class TestIncrementalWalk:
         reference = stacked_walk_shapley(model, ds, passes=5, seed=3)
         assert np.abs(scores.values - reference).max() <= 1e-12
         assert scores.forward_count == (6 + 1) * len(ds) * 5
+
+
+class TestBlockMerge:
+    """estimate_shapley against reference_estimate_shapley, which keeps one
+    (n, d) table per block and sums the list at the end: the score files
+    must match byte for byte. With 5 tokens per field, a block of one
+    visit leaves most rows untouched."""
+
+    @pytest.mark.parametrize(
+        "kind, hidden",
+        [(sp.FM, ()), (sp.DEEPFM, (4,)), (sp.DEEPFM, (4, 3)), (sp.DEEPFM, (4, 3, 2))],
+        ids=["fm", "deepfm-1", "deepfm-2", "deepfm-3"],
+    )
+    @pytest.mark.parametrize("block_visits", [1, 16, 1024])
+    @pytest.mark.parametrize("walk_rows", [6, None], ids=["walk-rows-6", "walk-rows-default"])
+    def test_matches_per_block_tables(self, monkeypatch, kind, hidden, block_visits, walk_rows):
+        model, ids, labels = tiny_random_model(7, kind, n_fields=3, field_size=5, dim=2, hidden=hidden)
+        ds = sp.dataset_from_encoded(ids, labels, model.vocab)
+        monkeypatch.setattr(attribution, "_BLOCK_VISITS", block_visits)
+        if walk_rows is not None:
+            monkeypatch.setattr(attribution, "_WALK_ROWS", walk_rows)
+        for threads in (1, 3):
+            for passes in (1, 5):
+                got = sp.estimate_shapley(model, ds, passes=passes, seed=21, threads=threads)
+                want = reference_estimate_shapley(model, ds, passes=passes, seed=21, threads=threads)
+                assert got.to_bytes() == want.to_bytes(), (threads, passes)
 
 
 class TestBaselines:

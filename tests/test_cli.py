@@ -652,6 +652,45 @@ class TestErrorPaths:
         assert code == 1
         assert message in stderr
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--batch-size", "0"), "batch_size"),
+            (("--epochs", "-1"), "epochs"),
+            (("--lr", "-0.01"), "learning_rate"),
+            (("--lr", "0"), "learning_rate"),
+            (("--lr", "nan"), "learning_rate"),
+            (("--lr", "inf"), "learning_rate"),
+        ],
+    )
+    def test_bad_training_config_is_exit_one(self, toy_files, capsys, tmp_path, flags, message):
+        code, stdout, stderr = run(
+            capsys,
+            "train", "--data", toy_files["data"], "--schema", toy_files["schema"],
+            "--out", str(tmp_path / "m.shvr"), *flags,
+        )
+        assert code == 1
+        assert stderr.count("error:") == 1 and message in stderr
+        assert stdout == "" and list(tmp_path.iterdir()) == []
+
+    def test_zero_synth_fields_is_exit_one(self, capsys, tmp_path):
+        code, _, stderr = run(capsys, "synth", "--out", str(tmp_path / "x.csv"), "--fields", "0")
+        assert code == 1
+        assert stderr.count("error:") == 1 and "fields must be at least 1" in stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_the_recorded_range_is_exit_one(self, toy_files, capsys, tmp_path, seed):
+        out = tmp_path / "s.shvr"
+        code, _, stderr = run(
+            capsys,
+            "attribute", "--model", toy_files["model"], "--vocab", toy_files["vocab"],
+            "--data", toy_files["data"], "--out", str(out), "--seed", seed,
+        )
+        assert code == 1
+        assert stderr.count("error:") == 1 and "seed must be in [0, 2**64)" in stderr
+        assert not out.exists()
+
     def test_no_subcommand_is_exit_two(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2

@@ -496,6 +496,19 @@ class TestColumnTokenizer:
     def test_synthetic_rows_match_the_row_loop(self, config):
         assert sp.synthetic_rows(config) == reference_synthetic_rows(config)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(fields=0, tokens_per_field=()), "fields must be at least 1"),
+            (dict(fields=2, tokens_per_field=(5,)), "tokens_per_field"),
+            (dict(fields=2, tokens_per_field=(5, 1)), "at least 2 tokens"),
+            (dict(fields=1, tokens_per_field=(5,), rows=0), "rows"),
+        ],
+    )
+    def test_synthetic_config_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            sp.SyntheticConfig(**kwargs)
+
 
 class TestToyCorpus:
     def test_toy_rows_are_pinned_to_the_expit_reference(self):

@@ -16,6 +16,7 @@ from helpers import (
     flatten_params,
     lazy_adam_train,
     naive_predict_proba,
+    small_table_corpus,
     tiny_random_model,
 )
 
@@ -176,6 +177,14 @@ class TestInitAndConfig:
             sp.TrainConfig(dim=0)
         with pytest.raises(ValueError, match="hidden"):
             sp.TrainConfig(backbone=sp.DEEPFM, hidden=(8, 0))
+        with pytest.raises(ValueError, match="batch_size"):
+            sp.TrainConfig(batch_size=0)
+        with pytest.raises(ValueError, match="epochs"):
+            sp.TrainConfig(epochs=-1)
+        for rate in (0.0, -0.01, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate"):
+                sp.TrainConfig(learning_rate=rate)
+        sp.TrainConfig(epochs=0)
 
 
 class TestTraining:
@@ -278,18 +287,6 @@ class TestTraining:
         bad = sp.PruneMask.from_dense(np.zeros((3, 2), bool))
         with pytest.raises(ValueError, match="mask shape"):
             sp.train(ds, config, mask=bad, padding=sp.ZERO)
-
-
-def small_table_corpus(seed, n_fields=3, field_size=4, count=37, used=None):
-    """Random encoded dataset over a small table: with few rows per field,
-    rows repeat across the instances of every batch. Ids are drawn from the
-    first used rows of each field's block (all of it by default)."""
-    rng = np.random.default_rng(seed)
-    tables = tuple({f"f{f}t{k}": k for k in range(field_size - 1)} for f in range(n_fields))
-    vocab = sp.Vocabulary(sp.FieldSchema.categorical(n_fields), tables, 0)
-    ids = vocab.offsets[:-1] + rng.integers(0, used or field_size, (count, n_fields))
-    labels = rng.integers(0, 2, count)
-    return sp.dataset_from_encoded(ids.astype(np.int64), labels.astype(np.int64), vocab)
 
 
 class TestSparseAdam:
