@@ -11,9 +11,13 @@ in the dataset keep a bitwise-zero row.
 
 The sampling estimator (Castro et al., 2009) walks one uniformly random
 removal order per instance per pass and charges each coordinate the loss
-increase its removal causes. Each visit draws its permutation from a
-counter-based generator keyed by (seed, pass, instance index), so results do
-not depend on thread count or visit order. A walk is not re-scored from
+increase its removal causes. A visit's removal order is keyed by (seed, pass,
+instance index) alone: the three are folded into one SplitMix64 stream state
+(Steele, Lea & Flood, 2014), and the order is the argsort of that stream's
+first m * d outputs. The outputs of a stream are distinct, so the order is
+uniform and unique, and results do not depend on thread count, block size or
+visit order. A sub-batch of visits draws its orders in a few whole-array
+integer operations and one argsort. A walk is not re-scored from
 scratch at each step: removing value e from embedding column c lowers the
 pairwise term by e * (S_c - e), S_c being that column's sum over the
 coordinates still present, and a DeepFM's first layer is linear in the flat
@@ -75,6 +79,39 @@ _BLOCK_VISITS = 1024
 # _walk_losses in sub-batches of max(1, _WALK_ROWS // (md + 1)), which keeps
 # the working set near 2 MB at md = 624.
 _WALK_ROWS = 4096
+
+# SplitMix64's stream increment: odd, so k * _GAMMA mod 2**64 is distinct
+# for distinct k < 2**64.
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """SplitMix64's output finaliser, a bijection of uint64, in place."""
+    x ^= x >> 30
+    x *= 0xBF58476D1CE4E5B9
+    x ^= x >> 27
+    x *= 0x94D049BB133111EB
+    x ^= x >> 31
+    return x
+
+
+def _walk_orders(seed: int, pass_idx: np.ndarray, inst: np.ndarray, md: int) -> np.ndarray:
+    """Removal orders (B, md) of the visits (pass_idx[b], inst[b]) under seed.
+
+    Each visit's stream state hashes seed, then its pass, then its instance,
+    each word xored in before one SplitMix64 step, so for one seed and pass
+    distinct instances get distinct states. Its md sort keys are the stream's
+    first md outputs, mix(state + k * gamma) for k = 1..md. A bijective mix
+    of distinct inputs gives distinct keys, so the argsort is one uniformly
+    random permutation whatever the sort algorithm, and row b depends on
+    (seed, pass_idx[b], inst[b]) alone. All arithmetic is on arrays, where
+    uint64 wraps mod 2**64 without the overflow warning of a numpy scalar."""
+    state = _mix(np.full(inst.shape, seed, np.uint64) + _GAMMA)
+    for word in (pass_idx, inst):
+        state ^= word.astype(np.uint64)
+        state = _mix(state + _GAMMA)
+    keys = state[:, None] + np.arange(1, md + 1, dtype=np.uint64) * _GAMMA
+    return np.argsort(_mix(keys), axis=1)
 
 
 @dataclass
@@ -221,21 +258,9 @@ def _run_block(model: Model, dataset: Dataset, seed: int, total_visits: int, fir
     work = None
     if model.backbone.kind == DEEPFM:
         work = np.empty(((md + 1) * batch, model.backbone.layers[0][0].shape[0]))
-    # Visit (pass p, instance i) draws from Philox keyed by seed at counter
-    # (0, 0, p, i). One generator serves the block: resetting its state to a
-    # fresh generator's with the visit's counter gives the same draws as
-    # constructing one per visit, without a per-visit OS-entropy read.
-    bitgen = np.random.Philox(key=seed)
-    generator = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    counter = fresh["state"]["counter"]
     for start in range(0, visits.shape[0], batch):
         sub = slice(start, start + batch)
-        perms = np.empty((inst[sub].shape[0], md), np.int64)
-        for k, (p, i) in enumerate(zip(pass_idx[sub], inst[sub])):
-            counter[2:] = p, i
-            bitgen.state = fresh
-            perms[k] = generator.permutation(md)
+        perms = _walk_orders(seed, pass_idx[sub], inst[sub], md)
         losses = _walk_losses(model, dataset.ids[inst[sub]], dataset.labels[inst[sub]], perms, work)
         # the marginal of step k belongs to the coordinate removed at step k
         marginals[sub][np.arange(perms.shape[0])[:, None], perms] = np.diff(losses, axis=1)

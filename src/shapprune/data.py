@@ -321,6 +321,8 @@ class Dataset:
         """Uniform subsample without replacement, original order preserved."""
         if not 0.0 < fraction <= 1.0:
             raise DataError(f"fraction must be in (0, 1], got {fraction}")
+        if not 0 <= seed < 2**64:
+            raise DataError(f"seed must be in [0, 2**64), got {seed}")
         if fraction == 1.0:
             return self
         count = max(1, int(np.rint(fraction * len(self))))

@@ -184,12 +184,12 @@ def table_game_exact_shapley(model, ids, label, dim, n_rows):
 def stacked_walk_shapley(model, dataset, passes, seed):
     """Sampled Shapley scores by re-scoring every step of every walk.
 
-    Visit k = pass * len(dataset) + instance draws the same permutation as
-    estimate_shapley, then scores the full (md + 1, m, d) stack of
-    progressively zeroed copies through the game's payoff function and
-    charges each removed coordinate its loss difference.
+    Visit k = pass * len(dataset) + instance draws its permutation on its
+    own from the library's _walk_orders, then scores the full (md + 1, m, d)
+    stack of progressively zeroed copies through the game's payoff function
+    and charges each removed coordinate its loss difference.
     """
-    from shapprune.attribution import _removal_losses
+    from shapprune.attribution import _removal_losses, _walk_orders
 
     n, d = model.embedding.values.shape
     m = dataset.ids.shape[1]
@@ -199,8 +199,7 @@ def stacked_walk_shapley(model, dataset, passes, seed):
     thresholds = np.arange(-1, md)[:, None, None]
     for visit in range(passes * count):
         pass_idx, inst_idx = divmod(visit, count)
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, pass_idx, inst_idx]))
-        perm = rng.permutation(md)
+        perm = _walk_orders(seed, np.array([pass_idx]), np.array([inst_idx]), md)[0]
         ids = dataset.ids[inst_idx]
         position = np.empty(md, np.int64)
         position[perm] = np.arange(md)
@@ -214,12 +213,19 @@ def reference_estimate_shapley(model, dataset, passes=1, seed=0, threads=1):
     """estimate_shapley as it was with one (n, d) table per visit block:
     each block scatters its marginals with np.add.at into its own zero
     table, and the tables are kept in a list and summed in block order at
-    the end. The walk (_walk_losses) and the block and sub-batch sizes are
-    read from the library, so a monkeypatched size applies to both."""
+    the end. The walk orders (_walk_orders), the walk (_walk_losses) and the
+    block and sub-batch sizes are read from the library, so a monkeypatched
+    size applies to both."""
     from concurrent.futures import ThreadPoolExecutor
 
     from shapprune import attribution
-    from shapprune.attribution import DEEPFM, SHAPLEY, AttributionScores, _walk_losses
+    from shapprune.attribution import (
+        DEEPFM,
+        SHAPLEY,
+        AttributionScores,
+        _walk_losses,
+        _walk_orders,
+    )
 
     def _visit_blocks(total_visits: int):
         for start in range(0, total_visits, attribution._BLOCK_VISITS):
@@ -234,17 +240,9 @@ def reference_estimate_shapley(model, dataset, passes=1, seed=0, threads=1):
         work = None
         if model.backbone.kind == DEEPFM:
             work = np.empty(((md + 1) * batch, model.backbone.layers[0][0].shape[0]))
-        bitgen = np.random.Philox(key=seed)
-        generator = np.random.Generator(bitgen)
-        fresh = bitgen.state
-        counter = fresh["state"]["counter"]
         for first in range(span[0], span[1], batch):
             pass_idx, inst = np.divmod(np.arange(first, min(first + batch, span[1])), count)
-            perms = np.empty((inst.shape[0], md), np.int64)
-            for k, (p, i) in enumerate(zip(pass_idx, inst)):
-                counter[2:] = p, i
-                bitgen.state = fresh
-                perms[k] = generator.permutation(md)
+            perms = _walk_orders(seed, pass_idx, inst, md)
             ids = dataset.ids[inst]
             losses = _walk_losses(model, ids, dataset.labels[inst], perms, work)
             local = np.empty(perms.shape)

@@ -274,6 +274,73 @@ class TestIncrementalWalk:
         assert scores.forward_count == (6 + 1) * len(ds) * 5
 
 
+@pytest.mark.filterwarnings("error")
+class TestWalkOrders:
+    """The removal orders of attribution._walk_orders: one uniformly random
+    permutation per visit, a function of (seed, pass, instance) alone."""
+
+    @staticmethod
+    def visits(count, per_pass=1000):
+        return np.divmod(np.arange(count), per_pass)
+
+    @pytest.mark.parametrize("md", [1, 9, 80, 624, 4200])
+    def test_rows_are_permutations(self, md):
+        # md = 4200 leaves one visit per sub-batch: the uint64 arithmetic
+        # still runs on arrays and wraps without an overflow warning
+        batch = max(1, attribution._WALK_ROWS // (md + 1))
+        pass_idx, inst = self.visits(batch)
+        for seed in (0, 2**64 - 1):
+            orders = attribution._walk_orders(seed, pass_idx, inst, md)
+            assert orders.shape == (batch, md) and orders.dtype == np.int64
+            assert (np.sort(orders, axis=1) == np.arange(md)).all()
+
+    def test_rows_do_not_depend_on_grouping(self):
+        draw = attribution._walk_orders
+        pass_idx, inst = self.visits(300, per_pass=70)
+        together = draw(5, pass_idx, inst, 9)
+        singles = [draw(5, pass_idx[k : k + 1], inst[k : k + 1], 9) for k in range(300)]
+        assert np.array_equal(together, np.concatenate(singles))
+        shuffled = np.random.default_rng(0).permutation(300)
+        for group in np.array_split(shuffled, 7):
+            assert np.array_equal(draw(5, pass_idx[group], inst[group], 9), together[group])
+
+    def test_extreme_seeds_draw_distinct_orders(self):
+        pass_idx, inst = self.visits(64)
+        low = attribution._walk_orders(0, pass_idx, inst, 9)
+        high = attribution._walk_orders(2**64 - 1, pass_idx, inst, 9)
+        assert (low != high).any(axis=1).sum() >= 60
+
+    def test_orders_are_uniform(self):
+        # 200k visits; a uniform sampler reads about 5 (5 dof) and 64 (64 dof)
+        count = 200_000
+        pass_idx, inst = self.visits(count)
+        small = attribution._walk_orders(7, pass_idx, inst, 3)
+        _, freq = np.unique(small, axis=0, return_counts=True)
+        assert freq.shape == (6,)
+        chi_orders = ((freq - count / 6) ** 2 / (count / 6)).sum()
+        assert chi_orders < 25.0, chi_orders
+        wide = attribution._walk_orders(7, pass_idx, inst, 9)
+        table = np.stack([np.bincount(wide[:, k], minlength=9) for k in range(9)])
+        chi_positions = ((table - count / 9) ** 2 / (count / 9)).sum()
+        assert chi_positions < 120.0, chi_positions
+
+    @pytest.mark.parametrize(
+        "seed, pass_idx, inst, order",
+        [
+            (0, 0, 0, [1, 0, 8, 4, 6, 7, 2, 3, 5]),
+            (0, 0, 1, [1, 5, 2, 4, 7, 8, 6, 0, 3]),
+            (0, 1, 0, [6, 3, 1, 5, 4, 0, 8, 2, 7]),
+            (3, 4, 39, [1, 7, 3, 5, 8, 0, 4, 2, 6]),
+            (2**64 - 1, 63, 1023, [1, 4, 5, 2, 6, 3, 7, 8, 0]),
+        ],
+    )
+    def test_golden_draws(self, seed, pass_idx, inst, order):
+        # integer hashing gives these orders on every platform; a sampler
+        # change must update them on purpose, and every score file with them
+        got = attribution._walk_orders(seed, np.array([pass_idx]), np.array([inst]), 9)
+        assert got.tolist() == [order]
+
+
 class TestBlockMerge:
     """estimate_shapley against reference_estimate_shapley, which keeps one
     (n, d) table per block and sums the list at the end: the score files

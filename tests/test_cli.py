@@ -691,6 +691,18 @@ class TestErrorPaths:
         assert stderr.count("error:") == 1 and "seed must be in [0, 2**64)" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_subsample_seed_outside_the_range_is_exit_one(self, toy_files, capsys, tmp_path, seed):
+        out = tmp_path / "s.shvr"
+        code, _, stderr = run(
+            capsys,
+            "attribute", "--model", toy_files["model"], "--vocab", toy_files["vocab"],
+            "--data", toy_files["data"], "--out", str(out), "--fraction", "0.01", "--seed", seed,
+        )
+        assert code == 1
+        assert stderr.count("error:") == 1 and f"seed must be in [0, 2**64), got {seed}" in stderr
+        assert not out.exists()
+
     def test_no_subcommand_is_exit_two(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2

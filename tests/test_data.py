@@ -362,6 +362,10 @@ class TestDatasetValidation:
         assert ds.subsample(1.0, seed=0) is ds
         with pytest.raises(sp.DataError, match="fraction"):
             ds.subsample(0.0, seed=0)
+        for seed in (-1, 2**64):
+            with pytest.raises(sp.DataError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}"):
+                ds.subsample(0.5, seed=seed)
+        assert len(ds.subsample(0.5, seed=2**64 - 1)) == 30
 
 
 class TestCsvFiles:
