@@ -15,9 +15,13 @@ increase its removal causes. A visit's removal order is keyed by (seed, pass,
 instance index) alone: the three are folded into one SplitMix64 stream state
 (Steele, Lea & Flood, 2014), and the order is the argsort of that stream's
 first m * d outputs. The outputs of a stream are distinct, so the order is
-uniform and unique, and results do not depend on thread count, block size or
-visit order. A sub-batch of visits draws its orders in a few whole-array
-integer operations and one argsort. A walk is not re-scored from
+uniform and unique. The block and sub-batch sizes are fixed constants and the
+block partition does not depend on the worker count, so results do not depend
+on thread count; they can move in the last bits if those sizes change, since
+a block's sums are grouped by block and a DeepFM's GEMM rows can round
+differently with the number of rows multiplied together. A sub-batch of
+visits draws its orders in a few whole-array integer operations and one
+argsort. A walk is not re-scored from
 scratch at each step: removing value e from embedding column c lowers the
 pairwise term by e * (S_c - e), S_c being that column's sum over the
 coordinates still present, and a DeepFM's first layer is linear in the flat
@@ -76,9 +80,11 @@ EXACT_PLAYER_LIMIT = 22
 # makes the estimate bit-identical for any thread count.
 _BLOCK_VISITS = 1024
 # Walk rows (one payoff each) computed together: a block's visits go through
-# _walk_losses in sub-batches of max(1, _WALK_ROWS // (md + 1)), which keeps
-# the working set near 2 MB at md = 624.
-_WALK_ROWS = 4096
+# _walk_losses in sub-batches of max(1, _WALK_ROWS // (md + 1)). A DeepFM's
+# prefix sum adds one step row of B * h1 values per call, so wide rows pay
+# off: at md = 624 a sub-batch holds 13 visits, a row 832 values at h1 = 64,
+# and the first-layer scratch buffer ~4.2 MB. Larger sizes were no faster.
+_WALK_ROWS = 8192
 
 # SplitMix64's stream increment: odd, so k * _GAMMA mod 2**64 is distinct
 # for distinct k < 2**64.
@@ -190,6 +196,15 @@ def _removal_losses(model: Model, ids: np.ndarray, label, removed: np.ndarray):
     return log_loss(_sigmoid(_forward(model.backbone, ids, emb)[0]), label)
 
 
+def _prefix_sums(rows: np.ndarray) -> None:
+    """Running sums along axis 0, in place: rows[k] becomes rows[0] + ... +
+    rows[k], added left to right, so the bits are those of np.cumsum(axis=0).
+    Each step adds one contiguous row, where numpy's accumulate walks every
+    lane of a row separately with a stride of one row."""
+    for k in range(1, rows.shape[0]):
+        rows[k] += rows[k - 1]
+
+
 def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.ndarray, work):
     """The payoff at every step of B removal walks, shape (B, md + 1): entry
     (b, k) is the loss of instance (ids[b], labels[b]) with the first k
@@ -199,7 +214,7 @@ def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.nd
     depend on rounding along the way. work is a DeepFM's scratch buffer of at least
     (md + 1) * B rows of first-layer width (None for an FM)."""
     backbone = model.backbone
-    emb = model.embedding.values[ids]
+    emb = model.embedding.values.take(ids, 0)
     B, m, d = emb.shape
     md = m * d
     rows = np.arange(B)[:, None]
@@ -232,9 +247,12 @@ def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.nd
         pre = flat_pre.reshape(md + 1, B, -1)
         pre[0] = emb.reshape(B, md) @ W.T + b
         shift = pre[1:]
-        np.take(np.ascontiguousarray(W.T), perms.T, axis=0, out=shift)
+        # perms holds argsort output, so every index is in range, and
+        # mode="clip" lets take write straight into out: the default
+        # mode="raise" always buffers it.
+        np.take(np.ascontiguousarray(W.T), perms.T, axis=0, out=shift, mode="clip")
         np.multiply(shift, gone.T[:, :, None], out=shift)
-        np.cumsum(shift, axis=0, out=shift)
+        _prefix_sums(shift)
         np.subtract(pre[0], shift, out=shift)
         pre[md] = b
         z += _mlp_tail(backbone.layers, flat_pre).reshape(md + 1, B).T

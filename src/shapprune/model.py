@@ -233,7 +233,7 @@ def predict_proba_values(values, backbone, ids_matrix, batch_size: int = 8192) -
     out = np.empty(ids_matrix.shape[0])
     for start in range(0, ids_matrix.shape[0], batch_size):
         chunk = ids_matrix[start : start + batch_size]
-        z = _forward(backbone, chunk, values[chunk])[0]
+        z = _forward(backbone, chunk, values.take(chunk, 0))[0]
         out[start : start + chunk.shape[0]] = clamp_probability(_sigmoid(z))
     return out
 
@@ -301,7 +301,7 @@ def _batch_gradients(values, backbone, ids, labels, scale=None):
     d = values.shape[1]
     if scale is None:
         scale = 1.0 / B
-    emb = values[ids]
+    emb = values.take(ids, 0)
     acts = []
     z, total = _forward(backbone, ids, emb, acts)
 

@@ -8,6 +8,7 @@ against a second, structurally different route.
 import itertools
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 
@@ -650,3 +651,19 @@ def reference_toy_rows(seed=0):
         label = int(rng.random() < expit(logit))
         rows.append([str(label), *tokens])
     return rows, FieldSchema.categorical(3)
+
+
+def traced_peak(call):
+    """Peak bytes of traced allocation that call() adds, tracing with
+    tracemalloc unless a caller already does."""
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not outer:
+            tracemalloc.stop()

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from helpers import (
     small_table_corpus,
     stacked_walk_shapley,
     tiny_random_model,
+    traced_peak,
 )
 
 
@@ -223,21 +223,23 @@ class TestEstimator:
         ds = small_table_corpus(13, n_fields=2, field_size=1200, count=96)
         model = sp.init_model(ds.vocab, sp.TrainConfig(backbone=sp.FM, dim=16, seed=0))
         table_bytes = ds.vocab.n * 16 * 8
-        peaks = {}
-        outer = tracemalloc.is_tracing()
-        if not outer:
-            tracemalloc.start()
-        try:
-            for passes in (1, 8):
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                sp.estimate_shapley(model, ds, passes=passes, seed=0)
-                peaks[passes] = (tracemalloc.get_traced_memory()[1] - before) / table_bytes
-        finally:
-            if not outer:
-                tracemalloc.stop()
+        peaks = {
+            passes: traced_peak(lambda: sp.estimate_shapley(model, ds, passes=passes, seed=0)) / table_bytes
+            for passes in (1, 8)
+        }
         assert peaks[8] < 2.5, f"peaks in table sizes: {peaks}"
         assert peaks[8] - peaks[1] <= 0.25, f"peaks in table sizes: {peaks}"
+
+    def test_wide_walk_scratch_stays_small(self):
+        # 39 fields x d = 16 (md = 624) and a (64, 32) MLP, the wide-deepfm
+        # shape: a sub-batch of 13 visits walks 8125 rows, so the first-layer
+        # scratch holds 4.0 MiB and the second layer's product 2.0 MiB; 26
+        # rows keep the marginals and the table small. A larger _WALK_ROWS
+        # would raise the peak past the bound along with perfbench's RSS.
+        ds = small_table_corpus(5, n_fields=39, field_size=4, count=26)
+        model = sp.init_model(ds.vocab, sp.TrainConfig(backbone=sp.DEEPFM, dim=16, hidden=(64, 32), seed=0))
+        peak = traced_peak(lambda: sp.estimate_shapley(model, ds, seed=0)) / 2**20
+        assert peak < 8.0, f"walk peak {peak:.2f} MiB"
 
     def test_vocabulary_layout_mismatch(self, toy_model):
         rows = [["1", "a"], ["0", "b"]]
@@ -272,6 +274,28 @@ class TestIncrementalWalk:
         reference = stacked_walk_shapley(model, ds, passes=5, seed=3)
         assert np.abs(scores.values - reference).max() <= 1e-12
         assert scores.forward_count == (6 + 1) * len(ds) * 5
+
+    def test_matches_stacked_walk_at_wide_rows(self):
+        # md = 6 * 16 = 96 and a (64, 32) MLP: each prefix-sum step adds a
+        # row of B * 64 values. 120 visits make a sub-batch of
+        # 8192 // 97 = 84 visits and a partial one of 36.
+        model, _, _ = tiny_random_model(5, sp.DEEPFM, n_fields=6, field_size=4, dim=16, hidden=(64, 32))
+        ds = small_table_corpus(9, n_fields=6, field_size=4, count=60)
+        assert 1 < attribution._WALK_ROWS // 97 < 2 * len(ds)
+        scores = sp.estimate_shapley(model, ds, passes=2, seed=4)
+        reference = stacked_walk_shapley(model, ds, passes=2, seed=4)
+        assert np.abs(scores.values - reference).max() <= 1e-12
+
+    def test_prefix_sums_are_cumsum_bitwise(self):
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(40, 5, 8))
+        # lanes of signed zeros, and lanes whose sums cancel to zero
+        rows[:, 0] = rng.choice([0.0, -0.0], size=(40, 8))
+        rows[1::2, 1] = -rows[0::2, 1]
+        want = np.cumsum(rows, axis=0)
+        assert np.signbit(want[want == 0.0]).any() and not np.signbit(want[want == 0.0]).all()
+        attribution._prefix_sums(rows)
+        assert rows.tobytes() == want.tobytes()
 
 
 @pytest.mark.filterwarnings("error")

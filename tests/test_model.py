@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from helpers import (
     naive_predict_proba,
     small_table_corpus,
     tiny_random_model,
+    traced_peak,
 )
 
 SIGMOID_SIX = 1.0 / (1.0 + math.exp(-6.0))
@@ -424,17 +424,7 @@ class TestSparseAdam:
         flags = np.random.default_rng(8).random(base.embedding.values.shape) < 0.5
         fine_tune = dict(init=base, mask=sp.PruneMask.from_dense(flags), padding=sp.ZERO)
         for kwargs in ({}, fine_tune):
-            outer = tracemalloc.is_tracing()
-            if not outer:
-                tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                sp.train(ds, config, **kwargs)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                if not outer:
-                    tracemalloc.stop()
+            peak = traced_peak(lambda: sp.train(ds, config, **kwargs))
             assert peak < 4.0 * table_bytes, f"peak {peak / table_bytes:.2f} table sizes"
 
 class TestPruneMask:

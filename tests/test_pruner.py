@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from helpers import (
     pairwise_auc_reference,
     pruned_sections,
     reference_kept,
+    traced_peak,
 )
 
 
@@ -155,17 +155,7 @@ class TestPrune:
         model, ds = flat_fm_model(6, 400, 16, seed=1)
         n, d = model.embedding.values.shape
         scores = np.random.default_rng(0).normal(size=(n, d))
-        outer = tracemalloc.is_tracing()
-        if not outer:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            sp.prune(model, scores, 0.8, frequencies=ds.frequencies)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not outer:
-                tracemalloc.stop()
+        peak = traced_peak(lambda: sp.prune(model, scores, 0.8, frequencies=ds.frequencies))
         table_bytes = n * d * 8
         assert peak < 4.5 * table_bytes, f"peak {peak / table_bytes:.2f} table sizes"
 
