@@ -60,7 +60,6 @@ from .model import (
     _pairwise,
     _row_sums,
     _sigmoid,
-    _touched_rows,
     log_loss,
 )
 
@@ -282,8 +281,7 @@ def _run_block(model: Model, dataset: Dataset, seed: int, total_visits: int, fir
         losses = _walk_losses(model, dataset.ids[inst[sub]], dataset.labels[inst[sub]], perms, work)
         # the marginal of step k belongs to the coordinate removed at step k
         marginals[sub][np.arange(perms.shape[0])[:, None], perms] = np.diff(losses, axis=1)
-    rows, where = _touched_rows(dataset.ids[inst], n)
-    return rows, _row_sums(where, rows.shape[0], marginals.reshape(-1, d))
+    return _row_sums(dataset.ids[inst], n, marginals.reshape(-1, d))
 
 
 def estimate_shapley(
@@ -412,10 +410,10 @@ def score_taylor(model: Model, dataset: Dataset, batch_size: int = 8192) -> Attr
     for start in range(0, len(dataset), batch_size):
         ids = dataset.ids[start : start + batch_size]
         labels = dataset.labels[start : start + batch_size]
-        _, rows, grads = _batch_gradients(
+        _, rows, row_grad, _ = _batch_gradients(
             model.embedding.values, model.backbone, ids, labels, scale=1.0
         )
-        grad_sum[rows] += grads.embedding
+        grad_sum[rows] += row_grad[:, :-1]
     scores = np.abs(model.embedding.values * (grad_sum / len(dataset)))
     return AttributionScores(
         scores,

@@ -369,8 +369,15 @@ def decode_rows(dataset: Dataset) -> list:
 
 
 def read_csv_rows(path) -> list:
+    """Every row of a CSV file as a list of cells. A row the csv module
+    cannot parse (a cell over its field size limit, say) is a DataError
+    naming the file and line."""
     with open(path, newline="", encoding="utf-8") as fh:
-        return [row for row in csv.reader(fh)]
+        reader = csv.reader(fh)
+        try:
+            return list(reader)
+        except csv.Error as exc:
+            raise DataError(f"{path} line {reader.line_num}: {exc}") from None
 
 
 def write_csv_rows(path, rows) -> None:

@@ -247,51 +247,35 @@ def log_loss(prediction, label):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass
-class Gradients:
-    """Gradients of a mini-batch loss: the embedding and linear parts hold
-    only the rows the batch touches (see _batch_gradients); the bias and the
-    MLP layers are full."""
-
-    embedding: np.ndarray
-    linear: np.ndarray
-    bias: float
-    layers: list
-
-
-def _touched_rows(ids: np.ndarray, n: int):
-    """The sorted distinct rows (U,) of an id array and, for each id in
-    ravelled order, its index into them."""
+def _row_sums(ids: np.ndarray, n: int, parts: np.ndarray) -> tuple:
+    """The sorted distinct rows (U,) of an id array over n table rows, and
+    the sums (U, ...) of parts (K, ...), part k going to the row of the k-th
+    id in ravelled order. Each row adds its parts in order of k starting
+    from 0.0, so the sums are bitwise an in-order scatter-add into zeros,
+    signed zeros included; np.bincount does it several times faster."""
     flat = ids.ravel()
     flag = np.zeros(n, bool)
     flag[flat] = True
     rows = np.flatnonzero(flag)
     where = np.empty(n, np.intp)
     where[rows] = np.arange(rows.shape[0])
-    return rows, where[flat]
-
-
-def _row_sums(where: np.ndarray, count: int, parts: np.ndarray) -> np.ndarray:
-    """Sums of parts (K, ...) into count rows, part k going to row where[k]:
-    shape (count, ...). Each row adds its parts in order of k starting from
-    0.0, so the result is bitwise an in-order scatter-add into zeros, signed
-    zeros included; np.bincount does it several times faster."""
     width = math.prod(parts.shape[1:])
-    bins = (where[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(bins, weights=parts.ravel(), minlength=count * width)
-    return sums.reshape((count,) + parts.shape[1:])
+    bins = (where[flat][:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(bins, weights=parts.ravel(), minlength=rows.shape[0] * width)
+    return rows, sums.reshape(rows.shape + parts.shape[1:])
 
 
 def _batch_gradients(values, backbone, ids, labels, scale=None):
-    """Mean loss, the touched rows and summed-then-scaled gradients for one
-    mini-batch: (loss, rows, Gradients).
+    """Mean loss and summed-then-scaled gradients for one mini-batch, in the
+    layouts train steps: (loss, rows, row_grad, head_grad).
 
     Only the embedding and linear rows the batch touches can have a nonzero
-    gradient, so those two come back row-sparse: rows are the sorted
-    distinct ids (U,), the embedding gradient is their (U, d) block and the
-    linear gradient is (U,). Every other row's gradient is exactly 0.0, and
+    gradient, so those come back row-sparse: rows are the sorted distinct
+    ids (U,), and row_grad (U, d+1) holds each one's d embedding gradients,
+    then its linear weight's. Every other row's gradient is exactly 0.0, and
     each touched row's is bitwise an in-order scatter-add into a zero table
-    (see _row_sums).
+    (see _row_sums). head_grad is the flat [bias, W1, b1, W2, b2, ...]
+    gradient, each layer's part laid out as _views reads it.
 
     scale defaults to 1/B so gradients match the mean loss; pass 1.0 for
     the gradient of the summed loss. Raises
@@ -310,28 +294,28 @@ def _batch_gradients(values, backbone, ids, labels, scale=None):
     loss = float(np.mean(log_loss(p, y)))
     dz = scale * (p - y)
 
-    grad_bias = float(dz.sum())
-    rows, where = _touched_rows(ids, values.shape[0])
-    grad_linear = _row_sums(where, rows.shape[0], np.repeat(dz, m))
+    demb = total[:, None, :] - emb
+    demb *= dz[:, None, None]
 
-    demb = dz[:, None, None] * (total[:, None, :] - emb)
-
-    grad_layers = []
+    head_grad = np.empty(1 + sum(W.size + b.size for W, b in backbone.layers))
+    head_grad[0] = dz.sum()
+    dh = dz[:, None]
+    # output layer first; only hidden layers have a ReLU (pre is not None)
+    for (h_in, pre), (W, _), (gW, gb) in zip(
+        acts[::-1], backbone.layers[::-1], _views(head_grad[1:], backbone.layers)[::-1]
+    ):
+        da = dh if pre is None else dh * (pre > 0)
+        np.matmul(da.T, h_in, out=gW)
+        da.sum(axis=0, out=gb)
+        dh = da @ W
     if backbone.kind == DEEPFM:
-        W, _ = backbone.layers[-1]
-        h_last = acts[-1][0]
-        dout = dz[:, None]
-        grad_layers.append((dout.T @ h_last, dout.sum(axis=0)))
-        dh = dout @ W
-        for (h_in, pre), (W, _) in zip(acts[-2::-1], backbone.layers[-2::-1]):
-            da = dh * (pre > 0)
-            grad_layers.append((da.T @ h_in, da.sum(axis=0)))
-            dh = da @ W
-        grad_layers.reverse()
-        demb = demb + dh.reshape(B, m, d)
+        demb += dh.reshape(B, m, d)
 
-    grad_block = _row_sums(where, rows.shape[0], demb.reshape(-1, d))
-    return loss, rows, Gradients(grad_block, grad_linear, grad_bias, grad_layers)
+    # each id's embedding gradient, then its linear weight's (dz); the
+    # arithmetic above ran about twice as slow on strided views of this buffer
+    parts = np.concatenate((demb, np.broadcast_to(dz[:, None, None], (B, m, 1))), axis=2)
+    rows, row_grad = _row_sums(ids, values.shape[0], parts.reshape(-1, d + 1))
+    return loss, rows, row_grad, head_grad
 
 
 def _views(flat: np.ndarray, layers) -> list:
@@ -431,7 +415,7 @@ def train(
         for batch_index, start in enumerate(range(0, count, config.batch_size)):
             take = order[start : start + config.batch_size]
             try:
-                loss, rows, grads = _batch_gradients(
+                loss, rows, row_grad, head_grad = _batch_gradients(
                     values, backbone, dataset.ids[take], dataset.labels[take]
                 )
             except NonFiniteError:
@@ -439,22 +423,16 @@ def train(
                     f"non-finite loss at epoch {epoch} batch {batch_index}"
                 ) from None
             if flags is not None:
-                grads.embedding[flags[rows]] = 0.0
+                row_grad[:, :d][flags[rows]] = 0.0
             step += 1
             m1, m2 = row_m1.take(rows, 0), row_m2.take(rows, 0)
-            delta = _adam_delta(
-                m1, m2, np.column_stack((grads.embedding, grads.linear)), step,
-                config.learning_rate,
-            )
+            delta = _adam_delta(m1, m2, row_grad, step, config.learning_rate)
             row_m1[rows], row_m2[rows] = m1, m2
             # take gathers faster than the fancy index in values[rows] -= ...
             part = values.take(rows, 0)
             part -= delta[:, :d]
             values[rows] = part
             linear[rows] -= delta[:, d]
-            head_grad = np.concatenate(
-                [[grads.bias]] + [g.ravel() for pair in grads.layers for g in pair]
-            )
             head -= _adam_delta(head_m1, head_m2, head_grad, step, config.learning_rate)
             backbone.bias = float(head[0])
             epoch_loss += loss * take.shape[0]

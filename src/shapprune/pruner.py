@@ -121,6 +121,11 @@ class PrunedModel:
                 "codebook padding requires a codebook section and zero padding forbids one"
             )
         flags, stored = kept
+        pruned = int(np.count_nonzero(flags))
+        if not 0.0 <= sparsity <= 1.0 or parameter_budget(sparsity, n, d) != pruned:
+            raise ser.CheckpointError(
+                f"header sparsity {sparsity} does not give the file's {pruned} pruned coordinates"
+            )
         values = impute(stored, offsets, flags, ZERO if codebook is None else codebook)
         return cls(flags, values, offsets, backbone, codebook, sparsity)
 

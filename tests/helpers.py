@@ -289,16 +289,89 @@ def full_removal_jumps(model, ids, labels):
 
 
 def dense_batch_gradients(values, backbone, ids, labels):
-    """One mini-batch's loss and gradients with the embedding and linear
-    gradients scattered into zero tables of full size."""
-    from shapprune.model import Gradients, _batch_gradients
+    """One mini-batch's loss, its (n, d+1) embedding-then-linear gradient
+    scattered into a zero table of full size, and its flat head gradient
+    [bias, W1, b1, ...]."""
+    from shapprune.model import _batch_gradients
 
-    loss, rows, grads = _batch_gradients(values, backbone, ids, labels)
-    embedding = np.zeros_like(values)
-    embedding[rows] = grads.embedding
-    linear = np.zeros_like(backbone.linear)
-    linear[rows] = grads.linear
-    return loss, Gradients(embedding, linear, grads.bias, grads.layers)
+    loss, rows, row_grad, head_grad = _batch_gradients(values, backbone, ids, labels)
+    grad = np.zeros((values.shape[0], values.shape[1] + 1))
+    grad[rows] = row_grad
+    return loss, grad, head_grad
+
+
+def flat_gradient(grad, head_grad):
+    """A dense_batch_gradients result as one vector in flatten_params order:
+    embedding, linear, bias, then each layer's weights and bias."""
+    return np.concatenate([grad[:, :-1].ravel(), grad[:, -1], head_grad])
+
+
+def reference_batch_gradients(values, backbone, ids, labels, scale=None):
+    """The mini-batch gradient as it was computed before it came back in
+    train's layouts, kept word for word as a bitwise oracle: (loss, rows,
+    embedding (U, d), linear (U,), bias, [(dW, db)] per layer). The
+    touched rows and their in-order sums are separate steps here
+    (_reference_touched_rows, _reference_row_sums), the linear gradient is
+    its own scatter-add of np.repeat(dz, m), and the layer gradients are
+    separate arrays gathered from the output layer back."""
+    from shapprune.model import DEEPFM, _forward, _sigmoid, log_loss
+
+    B, m = ids.shape
+    d = values.shape[1]
+    if scale is None:
+        scale = 1.0 / B
+    emb = values.take(ids, 0)
+    acts = []
+    z, total = _forward(backbone, ids, emb, acts)
+
+    p = _sigmoid(z)
+    y = labels.astype(np.float64)
+    loss = float(np.mean(log_loss(p, y)))
+    dz = scale * (p - y)
+
+    grad_bias = float(dz.sum())
+    rows, where = _reference_touched_rows(ids, values.shape[0])
+    grad_linear = _reference_row_sums(where, rows.shape[0], np.repeat(dz, m))
+
+    demb = dz[:, None, None] * (total[:, None, :] - emb)
+
+    grad_layers = []
+    if backbone.kind == DEEPFM:
+        W, _ = backbone.layers[-1]
+        h_last = acts[-1][0]
+        dout = dz[:, None]
+        grad_layers.append((dout.T @ h_last, dout.sum(axis=0)))
+        dh = dout @ W
+        for (h_in, pre), (W, _) in zip(acts[-2::-1], backbone.layers[-2::-1]):
+            da = dh * (pre > 0)
+            grad_layers.append((da.T @ h_in, da.sum(axis=0)))
+            dh = da @ W
+        grad_layers.reverse()
+        demb = demb + dh.reshape(B, m, d)
+
+    grad_block = _reference_row_sums(where, rows.shape[0], demb.reshape(-1, d))
+    return loss, rows, grad_block, grad_linear, grad_bias, grad_layers
+
+
+def _reference_touched_rows(ids, n):
+    """The sorted distinct rows (U,) of an id array and, for each id in
+    ravelled order, its index into them."""
+    flat = ids.ravel()
+    flag = np.zeros(n, bool)
+    flag[flat] = True
+    rows = np.flatnonzero(flag)
+    where = np.empty(n, np.intp)
+    where[rows] = np.arange(rows.shape[0])
+    return rows, where[flat]
+
+
+def _reference_row_sums(where, count, parts):
+    """Sums of parts (K, ...) into count rows, part k going to row where[k],
+    by np.bincount in order of k from 0.0."""
+    width = math.prod(parts.shape[1:])
+    bins = (where[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(bins, weights=parts.ravel(), minlength=count * width)
+    return sums.reshape((count,) + parts.shape[1:])
 
 
 def dense_adam_train(dataset, config, init=None, mask=None, padding=None):
@@ -321,7 +394,7 @@ def _reference_adam_train(dataset, config, init, mask, padding, lazy):
     import copy
 
     from shapprune.codebook import impute
-    from shapprune.model import ADAM_EPS, BETA1, BETA2, NonFiniteError, init_model
+    from shapprune.model import ADAM_EPS, BETA1, BETA2, NonFiniteError, _views, init_model
 
     model = copy.deepcopy(init) if init is not None else init_model(dataset.vocab, config)
     table = model.embedding
@@ -349,15 +422,17 @@ def _reference_adam_train(dataset, config, init, mask, padding, lazy):
             take = order[start : start + config.batch_size]
             ids = dataset.ids[take]
             try:
-                _, grads = dense_batch_gradients(values, backbone, ids, dataset.labels[take])
+                _, grad, head_grad = dense_batch_gradients(
+                    values, backbone, ids, dataset.labels[take]
+                )
             except NonFiniteError:
                 raise sp.TrainingDiverged(
                     f"non-finite loss at epoch {epoch} batch {batch_index}"
                 ) from None
             if flags is not None:
-                grads.embedding[flags] = 0.0
-            grad_list = [grads.embedding, grads.linear, np.array([grads.bias])]
-            grad_list.extend(g for pair in grads.layers for g in pair)
+                grad[:, :-1][flags] = 0.0
+            grad_list = [grad[:, :-1], grad[:, -1], head_grad[:1]]
+            grad_list.extend(g for pair in _views(head_grad[1:], backbone.layers) for g in pair)
             rows = slice(None)
             if lazy:
                 rows = np.zeros(values.shape[0], bool)

@@ -19,6 +19,7 @@ from helpers import (
     codebook_objective,
     dense_batch_gradients,
     flat_fm_model,
+    flat_gradient,
     full_removal_jumps,
     pruned_sections,
     table_game_exact_shapley,
@@ -318,13 +319,10 @@ class TestAcceptance:
             model, ids, labels = tiny_random_model(
                 100 + index, kind, n_fields=3, field_size=2, dim=2
             )
-            _, grads = dense_batch_gradients(
+            _, grad, head_grad = dense_batch_gradients(
                 model.embedding.values, model.backbone, ids[:1], labels[:1]
             )
-            flat_grad = np.concatenate(
-                [grads.embedding.ravel(), grads.linear.ravel(), [grads.bias]]
-                + [g.ravel() for pair in grads.layers for g in pair]
-            )
+            flat_grad = flat_gradient(grad, head_grad)
             theta, write_back = flatten_params(model)
             for k in range(theta.size):
                 bumped = theta.copy()

@@ -402,8 +402,8 @@ class TestBaselines:
         values, backbone = toy_model.embedding.values, toy_model.backbone
         grad_sum = np.zeros_like(values)
         for k in range(len(ds)):
-            _, grads = dense_batch_gradients(values, backbone, ds.ids[k][None], ds.labels[k : k + 1])
-            grad_sum += grads.embedding
+            _, grad, _ = dense_batch_gradients(values, backbone, ds.ids[k][None], ds.labels[k : k + 1])
+            grad_sum += grad[:, :-1]
         expected = np.abs(toy_model.embedding.values * grad_sum / len(ds))
         scores = sp.score_taylor(toy_model, ds)
         assert np.allclose(scores.values, expected, atol=1e-12)

@@ -1,3 +1,4 @@
+import math
 import os
 import shutil
 import struct
@@ -524,6 +525,22 @@ class TestErrorPaths:
         assert code == 1
         assert "sparsity must be in [0, 1]" in stderr
 
+    def test_oversized_csv_cell_is_exit_one(self, toy_files, capsys, tmp_path):
+        rows = sp.read_csv_rows(toy_files["data"])
+        rows[2][1] = "x" * 200_000  # past the csv module's field size limit
+        data, out = tmp_path / "big.csv", tmp_path / "m.shvr"
+        sp.write_csv_rows(data, rows)
+        code, _, stderr = run(
+            capsys,
+            "train", "--data", str(data), "--schema", toy_files["schema"],
+            "--vocab-out", str(tmp_path / "v.vocab"), "--out", str(out),
+        )
+        assert code == 1
+        lines = stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert f"{data} line 3" in lines[0]
+        assert not out.exists()
+
     def test_corrupt_checkpoint_is_exit_one(self, toy_files, capsys, tmp_path):
         bad = tmp_path / "bad.shvr"
         data = bytearray(Path(toy_files["model"]).read_bytes())
@@ -764,6 +781,18 @@ def _zero_padding_with_codebook(files):
     return _flip_padding_code(pruned)
 
 
+def _pruned_with_sparsity(sparsity):
+    """A crafter of the toy pruned file (t = 0.5: 10 of 7 * 3 coordinates
+    pruned) whose header claims the given sparsity."""
+
+    def craft(files):
+        pruned = sp.load_pruned(files["pruned"])
+        pruned.sparsity = sparsity
+        return pruned.to_bytes()
+
+    return craft
+
+
 def _scores_file(files, n=7, nan=False):
     """The toy score file, optionally with one NaN score or a header that
     claims n rows while the section still holds 7 * 3 values."""
@@ -813,6 +842,12 @@ MALFORMED = {
     ),
     "zero_padding_with_codebook": (
         sp.load_pruned, _zero_padding_with_codebook, "codebook section"
+    ),
+    "sparsity_nan": (sp.load_pruned, _pruned_with_sparsity(math.nan), "header sparsity"),
+    "sparsity_above_one": (sp.load_pruned, _pruned_with_sparsity(7.0), "header sparsity"),
+    "sparsity_below_zero": (sp.load_pruned, _pruned_with_sparsity(-1.0), "header sparsity"),
+    "sparsity_not_the_pruned_count": (
+        sp.load_pruned, _pruned_with_sparsity(0.9), "header sparsity"
     ),
     "scores_section_length": (
         sp.AttributionScores.load, lambda files: _scores_file(files, n=8), "n \\* d values"

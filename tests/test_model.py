@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 
 import shapprune as sp
-from shapprune.model import _row_sums, _touched_rows
+from shapprune.model import _batch_gradients, _row_sums
 from shapprune.serialization import CheckpointError
 
 from helpers import (
     batch_loss_mean,
     dense_adam_train,
     dense_batch_gradients,
+    flat_gradient,
     flatten_params,
     lazy_adam_train,
     naive_predict_proba,
+    reference_batch_gradients,
     small_table_corpus,
     tiny_random_model,
     traced_peak,
@@ -111,21 +113,20 @@ class TestLogLoss:
 class TestBackward:
     def test_bias_gradient_zero_model(self, hand_model):
         hand_model.embedding.values[...] = 0.0
-        _, grads = dense_batch_gradients(
+        _, _, head_grad = dense_batch_gradients(
             hand_model.embedding.values, hand_model.backbone, HAND_IDS, np.array([1])
         )
         # p = 0.5, label 1: dL/dz = p - y = -0.5, and dz/db = 1
-        assert grads.bias == pytest.approx(-0.5, abs=1e-15)
+        assert head_grad[0] == pytest.approx(-0.5, abs=1e-15)
 
     @pytest.mark.parametrize("kind", [sp.FM, sp.DEEPFM])
     @pytest.mark.parametrize("seed", [3, 4])
     def test_matches_central_differences(self, kind, seed):
         model, ids, labels = tiny_random_model(seed, kind, n_fields=3, field_size=2, dim=2)
-        _, grads = dense_batch_gradients(model.embedding.values, model.backbone, ids[:1], labels[:1])
-        flat_grad = np.concatenate(
-            [grads.embedding.ravel(), grads.linear.ravel(), [grads.bias]]
-            + [g.ravel() for pair in grads.layers for g in pair]
+        _, grad, head_grad = dense_batch_gradients(
+            model.embedding.values, model.backbone, ids[:1], labels[:1]
         )
+        flat_grad = flat_gradient(grad, head_grad)
         theta, write_back = flatten_params(model)
         h = 1e-6
         for k in range(theta.size):
@@ -142,12 +143,44 @@ class TestBackward:
 
     def test_untouched_rows_have_zero_gradient(self):
         model, ids, labels = tiny_random_model(6, sp.FM, field_size=4)
-        _, grads = dense_batch_gradients(model.embedding.values, model.backbone, ids[:1], labels[:1])
+        _, grad, _ = dense_batch_gradients(
+            model.embedding.values, model.backbone, ids[:1], labels[:1]
+        )
         touched = set(int(i) for i in ids[0])
         for row in range(model.embedding.n):
             if row not in touched:
-                assert np.all(grads.embedding[row] == 0.0)
-                assert grads.linear[row] == 0.0
+                assert np.all(grad[row] == 0.0)
+
+
+class TestGradientLayout:
+    """_batch_gradients gives the bits of the gradient as it was computed
+    before it came back in train's layouts: row_grad is [embedding | linear]
+    per touched row and head_grad is [bias, W1.ravel(), b1, ...]."""
+
+    @pytest.mark.parametrize(
+        "kind, hidden",
+        [(sp.FM, ()), (sp.DEEPFM, ()), (sp.DEEPFM, (4,)), (sp.DEEPFM, (16, 8)),
+         (sp.DEEPFM, (6, 5, 3))],
+        ids=["fm", "deepfm_linear_head", "deepfm_1_hidden", "deepfm_2_hidden", "deepfm_3_hidden"],
+    )
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("scale", [None, 1.0])
+    def test_matches_reference_bitwise(self, kind, hidden, batch, scale):
+        model, ids, labels = tiny_random_model(
+            11, kind, n_fields=4, field_size=3, dim=4, hidden=hidden
+        )
+        ids[1] = ids[0]  # every row of instance 0 repeats in the batch
+        ids, labels = ids[:batch], labels[:batch]
+        values, backbone = model.embedding.values, model.backbone
+        loss, rows, row_grad, head_grad = _batch_gradients(values, backbone, ids, labels, scale)
+        want_loss, want_rows, embedding, linear, bias, layers = reference_batch_gradients(
+            values, backbone, ids, labels, scale
+        )
+        assert loss == want_loss
+        assert rows.tolist() == want_rows.tolist()
+        assert row_grad.tobytes() == np.column_stack((embedding, linear)).tobytes()
+        want_head = np.concatenate([[bias]] + [g.ravel() for pair in layers for g in pair])
+        assert head_grad.tobytes() == want_head.tobytes()
 
 
 class TestInitAndConfig:
@@ -398,16 +431,14 @@ class TestSparseAdam:
         ids = rng.integers(0, 6, (12, 3))
         ids[:, 0] = 7  # a row every instance repeats
         ids[3, 1] = 8  # a row whose only contribution is -0.0
-        rows, where = _touched_rows(ids, n)
         parts = rng.normal(size=(ids.size, *width))
         parts[::5] = -0.0
         parts[6] = -parts[3]  # row 7 cancels to 0.0 midway
         parts[3 * 3 + 1] = -0.0
         dense = np.zeros((n, *width))
         np.add.at(dense, ids.ravel(), parts)
+        rows, block = _row_sums(ids, n, parts)
         assert rows.tolist() == sorted(set(ids.ravel().tolist()))
-        assert np.array_equal(rows[where], ids.ravel())
-        block = _row_sums(where, rows.shape[0], parts)
         assert block.tobytes() == dense[rows].tobytes()
         assert not np.signbit(block[rows.tolist().index(8)]).any()
 

@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -307,7 +308,7 @@ class TestPrunedSerialization:
         w.u64(d)
         w.array(offsets.astype("<u8"))
         w.u8(pad_code)
-        w.f64(0.5)
+        w.f64(2 / 3)  # columns 1 and 2 of every row
         w.array(np.zeros(n, dtype="<f8"))
         w.f64(0.0)
         w.u8(0)
@@ -355,10 +356,17 @@ class TestPrunedSerialization:
 
 def _with_kept_section(blob, kept):
     """blob with its kept section payload replaced by kept and the CRC
-    recomputed; every other byte stays as written."""
+    recomputed. When kept holds a whole bitmap, the header sparsity becomes
+    the share of coordinates that bitmap prunes, so a well-formed section
+    makes a consistent file; every other byte stays as written."""
     from shapprune import serialization as ser
 
-    body = blob[len(ser.MAGIC) + 4 : -4]
+    body = bytearray(blob[len(ser.MAGIC) + 4 : -4])
+    m, n, d = struct.unpack_from("<3Q", body, 2)  # after the pruned and kind tags
+    bitmap_bytes = n * ((d + 7) // 8)
+    if len(kept) >= bitmap_bytes:
+        pruned = n * d - sum(bin(b).count("1") for b in kept[:bitmap_bytes])
+        struct.pack_into("<d", body, 2 + 8 * 3 + 8 * (m + 1) + 1, pruned / (n * d))
     sections = pruned_sections(blob)
     w = ser.ByteWriter()
     w.raw(body[: len(body) - sum(9 + len(payload) for _, payload in sections)])
@@ -399,7 +407,8 @@ class TestKeptCodec:
             codebook.values[0, 0] = -0.0
         fill = sp.ZERO if codebook is None else codebook
         pruned = sp.PrunedModel(
-            flags, sp.impute(table, offsets, flags, fill), offsets, model.backbone, codebook, 0.5
+            flags, sp.impute(table, offsets, flags, fill), offsets, model.backbone, codebook,
+            float(flags.mean()),
         )
         blob = pruned.to_bytes()
         assert dict(pruned_sections(blob))[SECTION_KEPT] == reference_kept(flags, table)
