@@ -27,9 +27,15 @@ pairwise term by e * (S_c - e), S_c being that column's sum over the
 coordinates still present, and a DeepFM's first layer is linear in the flat
 embedding, so its pre-activations drop by the removed value times its weight
 column. Only the later MLP layers run per step, and the visits of a block
-are walked together in sub-batches. A block sums its marginals per touched
-row, and the blocks are merged into one running table in block order, so
-memory holds the table plus one block of marginals however many passes run.
+are walked together in sub-batches. The scores only rank coordinates, and
+their noise floor is the Monte Carlo error, so a DeepFM walk runs its
+interior steps 1..m * d - 1 (the first-layer shifts and the MLP) in float32.
+Steps 0 and m * d, the pairwise and linear terms, the losses and the sums
+stay float64; the endpoints are computed directly, so each walk's marginals
+still add up to its full-removal loss jump. An FM walk is all float64. A
+block sums its marginals per touched row, and the blocks are merged into one
+running table in block order, so memory holds the table plus one block of
+marginals however many passes run.
 Every visit evaluates the payoff at its m * d + 1 steps; the returned
 metadata's forward_count tallies these payoff evaluations.
 
@@ -61,6 +67,7 @@ from .model import (
     _row_sums,
     _sigmoid,
     log_loss,
+    predict_proba_values,
 )
 
 SHAPLEY = "shapley"
@@ -81,9 +88,11 @@ _BLOCK_VISITS = 1024
 # Walk rows (one payoff each) computed together: a block's visits go through
 # _walk_losses in sub-batches of max(1, _WALK_ROWS // (md + 1)). A DeepFM's
 # prefix sum adds one step row of B * h1 values per call, so wide rows pay
-# off: at md = 624 a sub-batch holds 13 visits, a row 832 values at h1 = 64,
-# and the first-layer scratch buffer ~4.2 MB. Larger sizes were no faster.
-_WALK_ROWS = 8192
+# off: at md = 624 a sub-batch holds 26 visits, a row 1664 values at
+# h1 = 64, and the float32 first-layer scratch buffer ~4.1 MB, what 8192
+# rows took in float64. 8192 rows in float32 (~2.1 MB) ran ~12% slower,
+# 32768 no faster.
+_WALK_ROWS = 16384
 
 # SplitMix64's stream increment: odd, so k * _GAMMA mod 2**64 is distinct
 # for distinct k < 2**64.
@@ -204,14 +213,28 @@ def _prefix_sums(rows: np.ndarray) -> None:
         rows[k] += rows[k - 1]
 
 
-def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.ndarray, work):
+def _walk_scratch(model: Model, md: int, batch: int):
+    """A block's DeepFM walk scratch, made once per block (None for an FM):
+    a float32 buffer of (md - 1) * batch first-layer rows, the first layer's
+    weight columns W.T as float32 rows, and the MLP layers cast to float32.
+    Allocating the buffer per sub-batch lets the allocator hand its pages
+    back and fault them in again, which halved throughput at md = 624."""
+    if model.backbone.kind != DEEPFM:
+        return None
+    head = [(W.astype(np.float32), b.astype(np.float32)) for W, b in model.backbone.layers]
+    W = head[0][0]
+    return np.empty(((md - 1) * batch, W.shape[0]), np.float32), np.ascontiguousarray(W.T), head
+
+
+def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.ndarray, scratch):
     """The payoff at every step of B removal walks, shape (B, md + 1): entry
     (b, k) is the loss of instance (ids[b], labels[b]) with the first k
     coordinates of perms[b] zeroed, a coordinate (j, c) being flat index
     j * d + c. Step 0 is the untouched instance and step md the fully
-    removed one; both are computed directly, so the walk's total does not
-    depend on rounding along the way. work is a DeepFM's scratch buffer of at least
-    (md + 1) * B rows of first-layer width (None for an FM)."""
+    removed one; both are computed directly in float64, so the walk's total
+    does not depend on rounding along the way. A DeepFM's interior steps
+    run their MLP in float32 on the _walk_scratch of a batch of at least B
+    visits (scratch is None for an FM, whose walk is all float64)."""
     backbone = model.backbone
     emb = model.embedding.values.take(ids, 0)
     B, m, d = emb.shape
@@ -239,22 +262,30 @@ def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.nd
     z = _linear_term(backbone, ids)[:, None] + pair
     if backbone.kind == DEEPFM:
         # The first layer is linear in the flat embedding: each removal
-        # subtracts the removed value times its weight column. Rows are
-        # step-major here, so every step's pre-activations are contiguous.
+        # subtracts the removed value times its weight column. Steps 0 and
+        # md run the float64 head directly (step md's first layer is b
+        # alone); the interior steps 1..md-1 run in float32, step-major, so
+        # every step's pre-activations are contiguous.
         W, b = backbone.layers[0]
-        flat_pre = work[: (md + 1) * B]
-        pre = flat_pre.reshape(md + 1, B, -1)
-        pre[0] = emb.reshape(B, md) @ W.T + b
-        shift = pre[1:]
+        work, WT, head = scratch
+        ends = np.empty((B + 1, b.shape[0]))
+        np.matmul(emb.reshape(B, md), W.T, out=ends[:B])
+        ends[:B] += b
+        ends[B] = b
+        pre0 = ends[:B].astype(np.float32)  # before the tail's ReLU overwrites ends
+        tail = _mlp_tail(backbone.layers, ends)
+        z[:, 0] += tail[:B]
+        z[:, md] += tail[B]
+        flat_pre = work[: (md - 1) * B]
+        shift = flat_pre.reshape(md - 1, B, WT.shape[1])
         # perms holds argsort output, so every index is in range, and
         # mode="clip" lets take write straight into out: the default
         # mode="raise" always buffers it.
-        np.take(np.ascontiguousarray(W.T), perms.T, axis=0, out=shift, mode="clip")
-        np.multiply(shift, gone.T[:, :, None], out=shift)
+        np.take(WT, perms.T[: md - 1], axis=0, out=shift, mode="clip")
+        np.multiply(shift, gone.T[: md - 1, :, None].astype(np.float32), out=shift)
         _prefix_sums(shift)
-        np.subtract(pre[0], shift, out=shift)
-        pre[md] = b
-        z += _mlp_tail(backbone.layers, flat_pre).reshape(md + 1, B).T
+        np.subtract(pre0, shift, out=shift)
+        z[:, 1:md] += _mlp_tail(head, flat_pre).reshape(md - 1, B).T
     if not np.isfinite(z).all():
         raise NonFiniteError("non-finite score along a removal walk")
     return log_loss(_sigmoid(z), labels[:, None])
@@ -269,16 +300,11 @@ def _run_block(model: Model, dataset: Dataset, seed: int, total_visits: int, fir
     pass_idx, inst = np.divmod(visits, len(dataset))
     marginals = np.empty((visits.shape[0], md))
     batch = max(1, _WALK_ROWS // (md + 1))
-    # One scratch buffer for the whole block: allocating it per sub-batch
-    # lets the allocator hand its pages back and fault them in again, which
-    # halved throughput at md = 624.
-    work = None
-    if model.backbone.kind == DEEPFM:
-        work = np.empty(((md + 1) * batch, model.backbone.layers[0][0].shape[0]))
+    scratch = _walk_scratch(model, md, batch)
     for start in range(0, visits.shape[0], batch):
         sub = slice(start, start + batch)
         perms = _walk_orders(seed, pass_idx[sub], inst[sub], md)
-        losses = _walk_losses(model, dataset.ids[inst[sub]], dataset.labels[inst[sub]], perms, work)
+        losses = _walk_losses(model, dataset.ids[inst[sub]], dataset.labels[inst[sub]], perms, scratch)
         # the marginal of step k belongs to the coordinate removed at step k
         marginals[sub][np.arange(perms.shape[0])[:, None], perms] = np.diff(losses, axis=1)
     return _row_sums(dataset.ids[inst], n, marginals.reshape(-1, d))
@@ -323,6 +349,19 @@ def estimate_shapley(
         forward_count=(dataset.ids.shape[1] * model.embedding.d + 1) * total_visits,
         dataset_fingerprint=dataset.fingerprint(),
     )
+
+
+def efficiency_gap(model: Model, dataset: Dataset, scores: AttributionScores) -> float:
+    """|sum of the scores - mean loss jump| / max(1, |jump|), a row's jump
+    being its loss with the whole table zeroed minus its loss under the
+    model, both through predict_proba_values. Every walk runs from the model
+    to the zeroed table, so a Shapley estimate over dataset has a gap at
+    rounding level whatever its sampling error."""
+    values, backbone = model.embedding.values, model.backbone
+    full = log_loss(predict_proba_values(values, backbone, dataset.ids), dataset.labels)
+    empty = log_loss(predict_proba_values(np.zeros_like(values), backbone, dataset.ids), dataset.labels)
+    jump = float(np.mean(empty - full))
+    return abs(float(scores.values.sum()) - jump) / max(1.0, abs(jump))
 
 
 def _subset_weights(md: int) -> np.ndarray:

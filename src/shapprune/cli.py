@@ -24,6 +24,7 @@ from .attribution import (
     METHODS,
     SHAPLEY,
     TAYLOR,
+    efficiency_gap,
     estimate_shapley,
     exact_shapley_global,
     score_magnitude,
@@ -200,7 +201,7 @@ def cmd_codebook(args) -> int:
 def cmd_attribute(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     model = load_model(args.model, vocab)
-    timing = {}
+    report = {}
     if args.method == MAGNITUDE:
         scores = score_magnitude(model)
     else:
@@ -217,10 +218,11 @@ def cmd_attribute(args) -> int:
                 model, dataset, passes=args.passes, seed=args.seed, threads=args.threads
             )
             seconds = time.perf_counter() - start
-            timing = dict(
+            report = dict(
                 seconds=seconds,
                 visits_per_s=scores.passes * len(dataset) / seconds,
                 forwards_per_s=scores.forward_count / seconds,
+                efficiency_gap=f"{efficiency_gap(model, dataset, scores):.3e}",
             )
         else:
             scores = score_taylor(model, dataset)
@@ -231,7 +233,7 @@ def cmd_attribute(args) -> int:
         passes=scores.passes,
         forwards=scores.forward_count,
         fingerprint=scores.dataset_fingerprint,
-        **timing,
+        **report,
         out=args.out,
     )
     return 0

@@ -19,8 +19,9 @@ touch keeps its parameters and moments bit for bit, so a step's update
 costs O(U*d) in the U rows it touches, not O(n*d) in the table. The bias
 and the MLP get dense Adam.
 
-Everything runs in float64 and is deterministic under a fixed seed; training
-the same config twice yields byte-identical checkpoints.
+Training, checkpoints and prediction run in float64 and are deterministic
+under a fixed seed; training the same config twice yields byte-identical
+checkpoints.
 """
 
 from __future__ import annotations

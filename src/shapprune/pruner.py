@@ -46,6 +46,12 @@ def parameter_budget(sparsity: float, n: int, d: int) -> int:
     return int(np.rint(sparsity * n * d))
 
 
+def _gives_budget(sparsity: float, n: int, d: int, pruned: int) -> bool:
+    """Whether sparsity is in [0, 1] (so finite) and prunes exactly pruned
+    of n * d coordinates: the rule a pruned model and its file obey."""
+    return 0.0 <= sparsity <= 1.0 and parameter_budget(sparsity, n, d) == pruned
+
+
 @dataclass
 class PrunedModel:
     """Pruned checkpoint: flags is a bool (n, d) array, True at pruned
@@ -60,6 +66,13 @@ class PrunedModel:
     backbone: BackboneParams
     codebook: Codebook | None
     sparsity: float
+
+    def __post_init__(self):
+        pruned = int(np.count_nonzero(self.flags))
+        if not _gives_budget(self.sparsity, self.n, self.dim, pruned):
+            raise ValueError(
+                f"sparsity {self.sparsity} does not give the flags' {pruned} pruned coordinates"
+            )
 
     @property
     def n(self) -> int:
@@ -122,7 +135,7 @@ class PrunedModel:
             )
         flags, stored = kept
         pruned = int(np.count_nonzero(flags))
-        if not 0.0 <= sparsity <= 1.0 or parameter_budget(sparsity, n, d) != pruned:
+        if not _gives_budget(sparsity, n, d, pruned):
             raise ser.CheckpointError(
                 f"header sparsity {sparsity} does not give the file's {pruned} pruned coordinates"
             )
@@ -160,9 +173,10 @@ def load_pruned(path) -> PrunedModel:
 def _rank(model: Model, scores, padding: str, codebook, frequencies) -> tuple:
     """Validate prune's inputs and rank all n * d coordinates once.
 
-    Returns the flat scores and the flat coordinate indices in pruning
-    order: lowest score first, ties to lower frequency, then larger row,
-    then larger column. Every budget prunes a prefix of this one order.
+    Returns the flat scores, the same scores sorted ascending, and the flat
+    coordinate indices in tie order: lower frequency first, then larger row,
+    then larger column. The pruning order is lowest score first, ties in tie
+    order; every budget prunes a prefix of it (_cut).
     """
     n, d = model.embedding.values.shape
     score_matrix = np.asarray(scores.values if hasattr(scores, "values") else scores)
@@ -182,19 +196,27 @@ def _rank(model: Model, scores, padding: str, codebook, frequencies) -> tuple:
     rows = n - 1 - np.argsort(frequencies[::-1], kind="stable")
     tie_order = (rows[:, None] * d + np.arange(d - 1, -1, -1)).ravel()
     flat_scores = score_matrix.ravel()
-    return flat_scores, tie_order[np.argsort(flat_scores[tie_order], kind="stable")]
+    return flat_scores, np.sort(flat_scores), tie_order
 
 
-def _cut(model: Model, flat_scores, order, sparsity, padding, codebook) -> PrunedModel:
-    """Empty the first round(sparsity * n * d) coordinates of a _rank order."""
+def _cut(model: Model, ranking, sparsity, padding, codebook) -> PrunedModel:
+    """Empty the first round(sparsity * n * d) coordinates of the _rank
+    order: every score below the budget's threshold score, then the
+    threshold's tie group in tie order until the budget is spent. -0.0 and
+    +0.0 compare equal, so they share one tie group."""
+    flat_scores, sorted_scores, tie_order = ranking
     values = model.embedding.values
     n, d = values.shape
     budget = parameter_budget(sparsity, n, d)
     flags = np.zeros(n * d, bool)
-    flags[order[:budget]] = True
-    if budget and budget < n * d:
-        # every pruned score sits at or below every kept score
-        assert flat_scores[order[:budget]].max() <= flat_scores[~flags].min()
+    if budget:
+        threshold = sorted_scores[budget - 1]
+        np.less(flat_scores, threshold, out=flags)
+        need = budget - np.count_nonzero(flags)
+        flags[tie_order[(flat_scores == threshold)[tie_order]][:need]] = True
+        if budget < n * d:
+            # every pruned score sits at or below every kept score
+            assert flat_scores[flags].max() <= flat_scores[~flags].min()
     flags = flags.reshape(n, d)
     codebook = codebook if padding == CODEBOOK else None
     offsets = model.embedding.offsets
@@ -220,8 +242,8 @@ def prune(
     are copied bit for bit. Any monotone transform of the scores yields the
     same mask.
     """
-    flat_scores, order = _rank(model, scores, padding, codebook, frequencies)
-    return _cut(model, flat_scores, order, sparsity, padding, codebook)
+    ranking = _rank(model, scores, padding, codebook, frequencies)
+    return _cut(model, ranking, sparsity, padding, codebook)
 
 
 def auc_rank(labels: np.ndarray, predictions: np.ndarray):
@@ -281,10 +303,10 @@ def prune_curve(
     grid = list(sparsities)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("sparsity grid must be strictly increasing")
-    flat_scores, order = _rank(model, scores, padding, codebook, frequencies)
+    ranking = _rank(model, scores, padding, codebook, frequencies)
     rows = []
     for t in grid:
-        pruned = _cut(model, flat_scores, order, t, padding, codebook)
+        pruned = _cut(model, ranking, t, padding, codebook)
         report = evaluate(pruned, dataset)
         rows.append(
             {

@@ -214,18 +214,18 @@ def reference_estimate_shapley(model, dataset, passes=1, seed=0, threads=1):
     """estimate_shapley as it was with one (n, d) table per visit block:
     each block scatters its marginals with np.add.at into its own zero
     table, and the tables are kept in a list and summed in block order at
-    the end. The walk orders (_walk_orders), the walk (_walk_losses) and the
-    block and sub-batch sizes are read from the library, so a monkeypatched
-    size applies to both."""
+    the end. The walk orders (_walk_orders), the walk (_walk_losses), its
+    scratch (_walk_scratch) and the block and sub-batch sizes are read from
+    the library, so a monkeypatched size applies to both."""
     from concurrent.futures import ThreadPoolExecutor
 
     from shapprune import attribution
     from shapprune.attribution import (
-        DEEPFM,
         SHAPLEY,
         AttributionScores,
         _walk_losses,
         _walk_orders,
+        _walk_scratch,
     )
 
     def _visit_blocks(total_visits: int):
@@ -238,14 +238,12 @@ def reference_estimate_shapley(model, dataset, passes=1, seed=0, threads=1):
         count = len(dataset)
         phi = np.zeros((n, d))
         batch = max(1, attribution._WALK_ROWS // (md + 1))
-        work = None
-        if model.backbone.kind == DEEPFM:
-            work = np.empty(((md + 1) * batch, model.backbone.layers[0][0].shape[0]))
+        scratch = _walk_scratch(model, md, batch)
         for first in range(span[0], span[1], batch):
             pass_idx, inst = np.divmod(np.arange(first, min(first + batch, span[1])), count)
             perms = _walk_orders(seed, pass_idx, inst, md)
             ids = dataset.ids[inst]
-            losses = _walk_losses(model, ids, dataset.labels[inst], perms, work)
+            losses = _walk_losses(model, ids, dataset.labels[inst], perms, scratch)
             local = np.empty(perms.shape)
             local[np.arange(inst.shape[0])[:, None], perms] = np.diff(losses, axis=1)
             np.add.at(phi, ids, local.reshape(ids.shape + (d,)))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -185,6 +186,15 @@ class TestEstimator:
         deltas = full_removal_jumps(toy_model, ds.ids, ds.labels)
         assert scores.values.sum() == pytest.approx(float(np.mean(deltas)), abs=1e-12)
 
+    def test_efficiency_gap(self, toy_model, toy_corpus):
+        _, _, _, ds = toy_corpus
+        scores = sp.estimate_shapley(toy_model, ds, passes=3, seed=8)
+        jump = float(np.mean(full_removal_jumps(toy_model, ds.ids, ds.labels)))
+        assert attribution.efficiency_gap(toy_model, ds, scores) <= 1e-12
+        scores.values[0, 0] += 1e-3
+        gap = attribution.efficiency_gap(toy_model, ds, scores)
+        assert gap == pytest.approx(1e-3 / max(1.0, abs(jump)), rel=1e-6)
+
     def test_converges_to_exact_oracle(self, toy_model, toy_corpus, toy_exact_scores):
         _, _, _, ds = toy_corpus
         estimate = sp.estimate_shapley(toy_model, ds, passes=100, seed=0)
@@ -232,10 +242,11 @@ class TestEstimator:
 
     def test_wide_walk_scratch_stays_small(self):
         # 39 fields x d = 16 (md = 624) and a (64, 32) MLP, the wide-deepfm
-        # shape: a sub-batch of 13 visits walks 8125 rows, so the first-layer
-        # scratch holds 4.0 MiB and the second layer's product 2.0 MiB; 26
-        # rows keep the marginals and the table small. A larger _WALK_ROWS
-        # would raise the peak past the bound along with perfbench's RSS.
+        # shape: a sub-batch of 26 visits walks 16224 rows, 16198 of them
+        # float32 interior rows, so the first-layer scratch holds 3.95 MiB
+        # and the second layer's product 1.98 MiB; 26 rows keep the marginals
+        # and the table small. A larger _WALK_ROWS would raise the peak past
+        # the bound along with perfbench's RSS.
         ds = small_table_corpus(5, n_fields=39, field_size=4, count=26)
         model = sp.init_model(ds.vocab, sp.TrainConfig(backbone=sp.DEEPFM, dim=16, hidden=(64, 32), seed=0))
         peak = traced_peak(lambda: sp.estimate_shapley(model, ds, seed=0)) / 2**20
@@ -250,6 +261,17 @@ class TestEstimator:
 
 
 class TestIncrementalWalk:
+    @staticmethod
+    def assert_matches(scores, reference, kind):
+        # An FM walk is all float64. A DeepFM walk runs its interior steps in
+        # float32, so entries agree to float32 rounding of the logit; its
+        # endpoints stay float64, so the total telescopes to the reference's.
+        if kind == sp.FM:
+            assert np.abs(scores.values - reference).max() <= 1e-12
+            return
+        assert abs(scores.values.sum() - reference.sum()) <= 1e-12
+        assert np.abs(scores.values - reference).max() <= 1e-5 * np.abs(reference).max()
+
     @pytest.mark.parametrize(
         "kind, hidden",
         [(sp.FM, ()), (sp.DEEPFM, (4,)), (sp.DEEPFM, (4, 3)), (sp.DEEPFM, (4, 3, 2))],
@@ -272,19 +294,52 @@ class TestIncrementalWalk:
             monkeypatch.setattr(attribution, "_BLOCK_VISITS", block_visits)
         scores = sp.estimate_shapley(model, ds, passes=5, seed=3)
         reference = stacked_walk_shapley(model, ds, passes=5, seed=3)
-        assert np.abs(scores.values - reference).max() <= 1e-12
+        self.assert_matches(scores, reference, kind)
         assert scores.forward_count == (6 + 1) * len(ds) * 5
 
     def test_matches_stacked_walk_at_wide_rows(self):
         # md = 6 * 16 = 96 and a (64, 32) MLP: each prefix-sum step adds a
-        # row of B * 64 values. 120 visits make a sub-batch of
-        # 8192 // 97 = 84 visits and a partial one of 36.
+        # row of B * 64 values. 200 visits make a sub-batch of
+        # 16384 // 97 = 168 visits and a partial one of 32.
         model, _, _ = tiny_random_model(5, sp.DEEPFM, n_fields=6, field_size=4, dim=16, hidden=(64, 32))
-        ds = small_table_corpus(9, n_fields=6, field_size=4, count=60)
+        ds = small_table_corpus(9, n_fields=6, field_size=4, count=100)
         assert 1 < attribution._WALK_ROWS // 97 < 2 * len(ds)
         scores = sp.estimate_shapley(model, ds, passes=2, seed=4)
         reference = stacked_walk_shapley(model, ds, passes=2, seed=4)
-        assert np.abs(scores.values - reference).max() <= 1e-12
+        self.assert_matches(scores, reference, sp.DEEPFM)
+
+    @pytest.mark.parametrize(
+        "kind, hidden, dim",
+        [(sp.FM, (), 2), (sp.DEEPFM, (4, 3), 2), (sp.DEEPFM, (64, 32), 16), (sp.DEEPFM, (5,), 1)],
+        ids=["fm", "deepfm", "deepfm-wide", "deepfm-one-player"],
+    )
+    def test_endpoints_are_the_float64_payoff(self, kind, hidden, dim):
+        # step 0 scores the untouched instance and step md the fully removed
+        # one, whatever precision the interior steps run in; with one field
+        # and d = 1 the walk has no interior step at all
+        fields = 1 if dim == 1 else 3
+        model, ids, labels = tiny_random_model(6, kind, n_fields=fields, field_size=3, dim=dim, hidden=hidden)
+        md = fields * dim
+        perms = attribution._walk_orders(2, np.zeros(len(ids), np.int64), np.arange(len(ids)), md)
+        scratch = attribution._walk_scratch(model, md, len(ids))
+        losses = attribution._walk_losses(model, ids, labels, perms, scratch)
+        assert losses.shape == (len(ids), md + 1)
+        removed = np.zeros((2, fields, dim), bool)
+        removed[1] = True
+        for k in range(len(ids)):
+            ends = attribution._removal_losses(model, ids[k], labels[k], removed)
+            assert np.abs(losses[k, [0, md]] - ends).max() <= 1e-14
+
+    def test_fm_score_file_is_pinned(self):
+        # An FM walk is all float64, so its score file is pinned bit for
+        # bit. The digest was recorded on x86_64 with numpy 2.4; exp and log
+        # paths that round differently on another platform would move it.
+        model, _, _ = tiny_random_model(3, sp.FM, n_fields=5, field_size=40, dim=16)
+        ds = small_table_corpus(12, n_fields=5, field_size=40, count=300)
+        blob = sp.estimate_shapley(model, ds, passes=3, seed=17).to_bytes()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "5aaa92d0a046f25e31c09c48bbcfb4a0dcb717800dc59597aa489031cbe22be6"
+        )
 
     def test_prefix_sums_are_cumsum_bitwise(self):
         rng = np.random.default_rng(3)
@@ -307,9 +362,9 @@ class TestWalkOrders:
     def visits(count, per_pass=1000):
         return np.divmod(np.arange(count), per_pass)
 
-    @pytest.mark.parametrize("md", [1, 9, 80, 624, 4200])
+    @pytest.mark.parametrize("md", [1, 9, 80, 624, 4200, 8400])
     def test_rows_are_permutations(self, md):
-        # md = 4200 leaves one visit per sub-batch: the uint64 arithmetic
+        # md = 8400 leaves one visit per sub-batch: the uint64 arithmetic
         # still runs on arrays and wraps without an overflow warning
         batch = max(1, attribution._WALK_ROWS // (md + 1))
         pass_idx, inst = self.visits(batch)

@@ -287,6 +287,27 @@ class TestPipeline:
         assert scores.method == method
         assert scores.forward_count == forwards
 
+    @pytest.mark.parametrize("backbone", [sp.FM, sp.DEEPFM])
+    def test_attribute_logs_the_efficiency_gap(self, toy_files, capsys, tmp_path, backbone):
+        # every walk runs from the model to the zeroed table, so the score
+        # total is the mean full-removal loss jump up to rounding
+        model = str(tmp_path / "m.shvr")
+        hidden = ["--hidden", "3,3"] if backbone == sp.DEEPFM else []
+        assert main([
+            "train", "--data", toy_files["data"], "--vocab", toy_files["vocab"], "--out", model,
+            "--backbone", backbone, "--dim", "3", *hidden, "--epochs", "20", "--batch-size", "16",
+        ]) == 0
+        capsys.readouterr()
+        code, stdout, _ = run(
+            capsys,
+            "attribute", "--model", model, "--vocab", toy_files["vocab"],
+            "--data", toy_files["data"], "--out", str(tmp_path / "s.shvr"), "--passes", "3",
+        )
+        assert code == 0
+        fields = dict(part.split("=", 1) for part in stdout.splitlines()[-1].split())
+        assert fields["event"] == "attribute"
+        assert float(fields["efficiency_gap"]) <= 1e-9
+
 
 class TestImportCost:
     def test_cli_import_leaves_out_scipy_stats(self):

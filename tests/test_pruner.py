@@ -151,8 +151,9 @@ class TestPrune:
             sp.prune_curve(toy_model, scores, (0.5,), ds)
 
     def test_pruning_allocates_no_ranking_keys(self):
-        # The ranking holds a tie order, the gathered scores and their sort
-        # permutation (3 table sizes); n * d key arrays would exceed this.
+        # The ranking holds a tie order and the sorted scores (2 table
+        # sizes), and a cut adds its tie group and the imputed table (about
+        # 3.2 at peak); n * d key arrays would exceed this.
         model, ds = flat_fm_model(6, 400, 16, seed=1)
         n, d = model.embedding.values.shape
         scores = np.random.default_rng(0).normal(size=(n, d))
@@ -416,6 +417,17 @@ class TestKeptCodec:
         assert back.padding == padding
         assert np.array_equal(back.flags, flags)
         assert back.effective_values().tobytes() == sp.impute(table, offsets, flags, fill).tobytes()
+
+    @pytest.mark.parametrize("sparsity", [float("nan"), 7.0, -1.0, 0.5], ids=["nan", "7", "-1", "budget"])
+    def test_constructor_refuses_a_sparsity_the_reader_would(self, sparsity):
+        # 0.5 is in range, but it prunes 66 of 132 coordinates and the flags
+        # prune 77; to_bytes would write a file load_pruned refuses
+        model, _ = flat_fm_model(3, 4, 11, seed=7)
+        table, offsets = model.embedding.values, model.embedding.offsets
+        flags = _flags("random", *table.shape)
+        assert flags.size == 132 and np.count_nonzero(flags) == 77
+        with pytest.raises(ValueError, match=f"sparsity {sparsity} does not give the flags' 77 pruned"):
+            sp.PrunedModel(flags, sp.impute(table, offsets, flags, sp.ZERO), offsets, model.backbone, None, sparsity)
 
 
 @pytest.fixture(scope="module")
