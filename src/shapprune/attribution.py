@@ -15,21 +15,23 @@ increase its removal causes. A visit's removal order is keyed by (seed, pass,
 instance index) alone: the three are folded into one SplitMix64 stream state
 (Steele, Lea & Flood, 2014), and the order is the argsort of that stream's
 first m * d outputs. The outputs of a stream are distinct, so the order is
-uniform and unique. The block and sub-batch sizes are fixed constants and the
-block partition does not depend on the worker count, so results do not depend
-on thread count; they can move in the last bits if those sizes change, since
-a block's sums are grouped by block and a DeepFM's GEMM rows can round
-differently with the number of rows multiplied together. A sub-batch of
-visits draws its orders in a few whole-array integer operations and one
-argsort. A walk is not re-scored from
-scratch at each step: removing value e from embedding column c lowers the
-pairwise term by e * (S_c - e), S_c being that column's sum over the
-coordinates still present, and a DeepFM's first layer is linear in the flat
-embedding, so its pre-activations drop by the removed value times its weight
-column. Only the later MLP layers run per step, and the visits of a block
-are walked together in sub-batches. The scores only rank coordinates, and
+uniform and unique. The block, sub-batch and step-chunk sizes are fixed
+constants and the block partition does not depend on the worker count, so
+results do not depend on thread count; they can move in the last bits if
+those sizes change, since a block's sums are grouped by block and a DeepFM's
+GEMM rows can round differently with the number of rows multiplied together.
+A sub-batch of visits draws its orders in a few whole-array integer
+operations and one argsort. A walk is not re-scored from scratch at each
+step: removing value e from embedding column c lowers the pairwise term by
+e * (S_c - e), S_c being that column's sum over the coordinates still
+present, and a DeepFM's first layer is linear in the flat embedding, so its
+pre-activations drop by the removed value times its weight column. Only the
+later MLP layers run per step, and the visits of a block are walked together
+in sub-batches. The scores only rank coordinates, and
 their noise floor is the Monte Carlo error, so a DeepFM walk runs its
-interior steps 1..m * d - 1 (the first-layer shifts and the MLP) in float32.
+interior steps 1..m * d - 1 (the first-layer shifts and the MLP) in float32,
+a chunk of consecutive steps at a time in one 512 KiB buffer that stays in
+L2 cache; a chunk hands only its running first-layer sum to the next.
 Steps 0 and m * d, the pairwise and linear terms, the losses and the sums
 stay float64; the endpoints are computed directly, so each walk's marginals
 still add up to its full-removal loss jump. An FM walk is all float64. A
@@ -88,11 +90,18 @@ _BLOCK_VISITS = 1024
 # Walk rows (one payoff each) computed together: a block's visits go through
 # _walk_losses in sub-batches of max(1, _WALK_ROWS // (md + 1)). A DeepFM's
 # prefix sum adds one step row of B * h1 values per call, so wide rows pay
-# off: at md = 624 a sub-batch holds 26 visits, a row 1664 values at
-# h1 = 64, and the float32 first-layer scratch buffer ~4.1 MB, what 8192
-# rows took in float64. 8192 rows in float32 (~2.1 MB) ran ~12% slower,
-# 32768 no faster.
-_WALK_ROWS = 16384
+# off: at md = 624 a sub-batch holds 78 visits, a row 4992 values at
+# h1 = 64. The scratch buffer holds one chunk of steps (_CHUNK_VALUES), not
+# the sub-batch's whole interior, so wider sub-batches cost it nothing;
+# 65536 rows ran no faster and less steadily.
+_WALK_ROWS = 49152
+# Float32 values in one chunk of a DeepFM walk's interior steps: a chunk's
+# first-layer rows are gathered, scaled, summed, subtracted from step 0 and
+# run through the MLP while they sit in one 512 KiB buffer, which stays in a
+# 2 MiB per-core L2 across those six sweeps. A sub-batch's whole interior
+# (3.95 MiB at 26 visits and md = 624) went to L3 on every sweep; 262144
+# values ran no faster. A chunk holds at least one step.
+_CHUNK_VALUES = 131072
 
 # SplitMix64's stream increment: odd, so k * _GAMMA mod 2**64 is distinct
 # for distinct k < 2**64.
@@ -204,26 +213,61 @@ def _removal_losses(model: Model, ids: np.ndarray, label, removed: np.ndarray):
     return log_loss(_sigmoid(_forward(model.backbone, ids, emb)[0]), label)
 
 
-def _prefix_sums(rows: np.ndarray) -> None:
-    """Running sums along axis 0, in place: rows[k] becomes rows[0] + ... +
-    rows[k], added left to right, so the bits are those of np.cumsum(axis=0).
-    Each step adds one contiguous row, where numpy's accumulate walks every
-    lane of a row separately with a stride of one row."""
+def _prefix_sums(rows: np.ndarray, carry=None) -> None:
+    """Running sums along axis 0, in place: rows[k] becomes carry + rows[0] +
+    ... + rows[k], added left to right, so the bits are those of
+    np.cumsum(axis=0) and, chunk after chunk with each chunk's last row as
+    the next one's carry, those of one cumsum over all the chunks. Each step
+    adds one contiguous row, where numpy's accumulate walks every lane of a
+    row separately with a stride of one row."""
+    if carry is not None:
+        rows[0] += carry
     for k in range(1, rows.shape[0]):
         rows[k] += rows[k - 1]
 
 
 def _walk_scratch(model: Model, md: int, batch: int):
     """A block's DeepFM walk scratch, made once per block (None for an FM):
-    a float32 buffer of (md - 1) * batch first-layer rows, the first layer's
-    weight columns W.T as float32 rows, and the MLP layers cast to float32.
-    Allocating the buffer per sub-batch lets the allocator hand its pages
-    back and fault them in again, which halved throughput at md = 624."""
+    a float32 buffer for one chunk of interior steps, _CHUNK_VALUES values
+    (at least one step of batch visits, at most all md - 1 steps), the first
+    layer's weight columns W.T as float32 rows, and the MLP layers cast to
+    float32. Allocating the buffer per sub-batch lets the allocator hand its
+    pages back and fault them in again, which halved throughput at
+    md = 624."""
     if model.backbone.kind != DEEPFM:
         return None
     head = [(W.astype(np.float32), b.astype(np.float32)) for W, b in model.backbone.layers]
     W = head[0][0]
-    return np.empty(((md - 1) * batch, W.shape[0]), np.float32), np.ascontiguousarray(W.T), head
+    row = batch * W.shape[0]
+    work = np.empty(min((md - 1) * row, max(row, _CHUNK_VALUES)), np.float32)
+    return work, np.ascontiguousarray(W.T), head
+
+
+def _pair_walk(emb: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """The pairwise term (B, md + 1) at every step of B removal walks of the
+    (B, m, d) stack emb, column k of it with the first k coordinates of
+    perms[b] zeroed. Removing value e from column c lowers the term by
+    e * (S - e), S being the column's sum over the coordinates still present;
+    sorting each column's fields by removal step makes S - e its total minus
+    an inclusive cumulative sum."""
+    B, m, d = emb.shape
+    md = m * d
+    rows = np.arange(B)[:, None]
+    step = np.empty((B, md), np.int64)
+    step[rows, perms] = np.arange(md)
+    pair0, total = _pairwise(emb)
+    step_by_col = step.reshape(B, m, d).transpose(0, 2, 1)
+    order = np.argsort(step_by_col, axis=-1)
+    values = np.take_along_axis(emb.transpose(0, 2, 1), order, axis=-1)
+    drop = np.empty((B, md))
+    drop[rows, np.take_along_axis(step_by_col, order, axis=-1).reshape(B, md)] = (
+        values * (total[:, :, None] - np.cumsum(values, axis=-1))
+    ).reshape(B, md)
+    pair = np.empty((B, md + 1))
+    pair[:, 0] = pair0
+    np.subtract(pair0[:, None], np.cumsum(drop, axis=1), out=pair[:, 1:])
+    pair[:, md] = 0.0
+    return pair
 
 
 def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.ndarray, scratch):
@@ -239,36 +283,20 @@ def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.nd
     emb = model.embedding.values.take(ids, 0)
     B, m, d = emb.shape
     md = m * d
-    rows = np.arange(B)[:, None]
-    gone = emb.reshape(B, md)[rows, perms]  # value removed at each step
-    step = np.empty((B, md), np.int64)
-    step[rows, perms] = np.arange(md)
-    # Removing value e from column c lowers the pairwise term by e * (S - e),
-    # S being the column's sum over the coordinates still present. Sorting
-    # each column's fields by removal step makes S - e its total minus an
-    # inclusive cumulative sum.
-    pair0, total = _pairwise(emb)
-    step_by_col = step.reshape(B, m, d).transpose(0, 2, 1)
-    order = np.argsort(step_by_col, axis=-1)
-    values = np.take_along_axis(emb.transpose(0, 2, 1), order, axis=-1)
-    drop = np.empty((B, md))
-    drop[rows, np.take_along_axis(step_by_col, order, axis=-1).reshape(B, md)] = (
-        values * (total[:, :, None] - np.cumsum(values, axis=-1))
-    ).reshape(B, md)
-    pair = np.empty((B, md + 1))
-    pair[:, 0] = pair0
-    np.subtract(pair0[:, None], np.cumsum(drop, axis=1), out=pair[:, 1:])
-    pair[:, md] = 0.0
-    z = _linear_term(backbone, ids)[:, None] + pair
+    z = _pair_walk(emb, perms)
+    z += _linear_term(backbone, ids)[:, None]
     if backbone.kind == DEEPFM:
         # The first layer is linear in the flat embedding: each removal
         # subtracts the removed value times its weight column. Steps 0 and
         # md run the float64 head directly (step md's first layer is b
         # alone); the interior steps 1..md-1 run in float32, step-major, so
-        # every step's pre-activations are contiguous.
+        # every step's pre-activations are contiguous, in chunks of steps
+        # that fit the scratch buffer. A chunk carries only its last prefix
+        # row, the running sum, into the next.
         W, b = backbone.layers[0]
         work, WT, head = scratch
-        ends = np.empty((B + 1, b.shape[0]))
+        h1 = WT.shape[1]
+        ends = np.empty((B + 1, h1))
         np.matmul(emb.reshape(B, md), W.T, out=ends[:B])
         ends[:B] += b
         ends[B] = b
@@ -276,16 +304,22 @@ def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.nd
         tail = _mlp_tail(backbone.layers, ends)
         z[:, 0] += tail[:B]
         z[:, md] += tail[B]
-        flat_pre = work[: (md - 1) * B]
-        shift = flat_pre.reshape(md - 1, B, WT.shape[1])
-        # perms holds argsort output, so every index is in range, and
-        # mode="clip" lets take write straight into out: the default
-        # mode="raise" always buffers it.
-        np.take(WT, perms.T[: md - 1], axis=0, out=shift, mode="clip")
-        np.multiply(shift, gone.T[: md - 1, :, None].astype(np.float32), out=shift)
-        _prefix_sums(shift)
-        np.subtract(pre0, shift, out=shift)
-        z[:, 1:md] += _mlp_tail(head, flat_pre).reshape(md - 1, B).T
+        # the value removed at each step, step-major
+        gone = emb.reshape(B, md)[np.arange(B)[:, None], perms].T.astype(np.float32)
+        span = max(1, _CHUNK_VALUES // (B * h1))
+        carry = None
+        for k0 in range(1, md, span):
+            k1 = min(k0 + span, md)
+            shift = work[: (k1 - k0) * B * h1].reshape(k1 - k0, B, h1)
+            # perms holds argsort output, so every index is in range, and
+            # mode="clip" lets take write straight into out: the default
+            # mode="raise" always buffers it.
+            np.take(WT, perms.T[k0 - 1 : k1 - 1], axis=0, out=shift, mode="clip")
+            np.multiply(shift, gone[k0 - 1 : k1 - 1, :, None], out=shift)
+            _prefix_sums(shift, carry)
+            carry = shift[-1].copy()
+            np.subtract(pre0, shift, out=shift)
+            z[:, k0:k1] += _mlp_tail(head, shift.reshape(-1, h1)).reshape(k1 - k0, B).T
     if not np.isfinite(z).all():
         raise NonFiniteError("non-finite score along a removal walk")
     return log_loss(_sigmoid(z), labels[:, None])

@@ -208,9 +208,9 @@ def cmd_attribute(args) -> int:
         if not args.data:
             print("error: --data is required for this scoring method", file=sys.stderr)
             return 2
-        dataset = encode_rows(read_csv_rows(args.data), vocab)
-        if args.fraction < 1.0:
-            dataset = dataset.subsample(args.fraction, args.seed)
+        full = encode_rows(read_csv_rows(args.data), vocab)
+        dataset = full.subsample(args.fraction, args.seed)  # refuses fractions outside (0, 1]
+        if dataset is not full:
             log(event="subsample", fraction=args.fraction, rows=len(dataset))
         if args.method == SHAPLEY:
             start = time.perf_counter()

@@ -242,12 +242,15 @@ class TestEstimator:
 
     def test_wide_walk_scratch_stays_small(self):
         # 39 fields x d = 16 (md = 624) and a (64, 32) MLP, the wide-deepfm
-        # shape: a sub-batch of 26 visits walks 16224 rows, 16198 of them
-        # float32 interior rows, so the first-layer scratch holds 3.95 MiB
-        # and the second layer's product 1.98 MiB; 26 rows keep the marginals
-        # and the table small. A larger _WALK_ROWS would raise the peak past
-        # the bound along with perfbench's RSS.
-        ds = small_table_corpus(5, n_fields=39, field_size=4, count=26)
+        # shape, walking one full sub-batch of _WALK_ROWS // 625 visits (78
+        # at 49152 rows). The interior steps run in chunks of _CHUNK_VALUES
+        # float32 first-layer values (512 KiB), so the scratch buffer and the
+        # tail's products stay one chunk whatever the sub-batch; what grows
+        # with it is the (B, md) walk arrays and the marginals. A
+        # scratch buffer sized by the sub-batch (3.95 MiB at 26 visits)
+        # would raise the peak past the bound along with perfbench's RSS.
+        count = attribution._WALK_ROWS // 625
+        ds = small_table_corpus(5, n_fields=39, field_size=4, count=count)
         model = sp.init_model(ds.vocab, sp.TrainConfig(backbone=sp.DEEPFM, dim=16, hidden=(64, 32), seed=0))
         peak = traced_peak(lambda: sp.estimate_shapley(model, ds, seed=0)) / 2**20
         assert peak < 8.0, f"walk peak {peak:.2f} MiB"
@@ -297,12 +300,26 @@ class TestIncrementalWalk:
         self.assert_matches(scores, reference, kind)
         assert scores.forward_count == (6 + 1) * len(ds) * 5
 
+    @pytest.mark.parametrize("steps", [1, 2, 5], ids=["one-step-chunks", "partial-last-chunk", "one-chunk"])
+    def test_chunked_interior_matches_stacked_walk(self, monkeypatch, steps):
+        # md = 6: 8 instances x 5 passes make one 40-visit sub-batch whose
+        # 5 interior steps run in chunks of `steps` steps of 40 * 4 values
+        # each (2 + 2 + 1 for steps = 2).
+        model, ids, labels = tiny_random_model(11, sp.DEEPFM, n_fields=3, field_size=3, dim=2, hidden=(4, 3))
+        ds = sp.dataset_from_encoded(ids, labels, model.vocab)
+        monkeypatch.setattr(attribution, "_CHUNK_VALUES", steps * 5 * len(ds) * 4)
+        scores = sp.estimate_shapley(model, ds, passes=5, seed=3)
+        reference = stacked_walk_shapley(model, ds, passes=5, seed=3)
+        self.assert_matches(scores, reference, sp.DEEPFM)
+
     def test_matches_stacked_walk_at_wide_rows(self):
         # md = 6 * 16 = 96 and a (64, 32) MLP: each prefix-sum step adds a
-        # row of B * 64 values. 200 visits make a sub-batch of
-        # 16384 // 97 = 168 visits and a partial one of 32.
+        # row of B * 64 values. 700 visits make a sub-batch of
+        # 49152 // 97 = 506 visits and a partial one of 194, so the 95
+        # interior steps run in 4-step chunks (the last of 3) for the full
+        # sub-batch and in 10-step chunks (the last of 5) for the partial one.
         model, _, _ = tiny_random_model(5, sp.DEEPFM, n_fields=6, field_size=4, dim=16, hidden=(64, 32))
-        ds = small_table_corpus(9, n_fields=6, field_size=4, count=100)
+        ds = small_table_corpus(9, n_fields=6, field_size=4, count=350)
         assert 1 < attribution._WALK_ROWS // 97 < 2 * len(ds)
         scores = sp.estimate_shapley(model, ds, passes=2, seed=4)
         reference = stacked_walk_shapley(model, ds, passes=2, seed=4)
@@ -351,6 +368,24 @@ class TestIncrementalWalk:
         assert np.signbit(want[want == 0.0]).any() and not np.signbit(want[want == 0.0]).all()
         attribution._prefix_sums(rows)
         assert rows.tobytes() == want.tobytes()
+
+    def test_chunked_prefix_sums_are_cumsum_bitwise(self):
+        # chunks of 1, 7 and 13 steps (the last one partial), each carrying
+        # its last prefix row into the next, add in the order of one pass
+        rng = np.random.default_rng(4)
+        rows = rng.normal(size=(40, 5, 8)).astype(np.float32)
+        rows[:, 0] = rng.choice([0.0, -0.0], size=(40, 8))
+        rows[1::2, 1] = -rows[0::2, 1]
+        want = np.cumsum(rows, axis=0)
+        assert np.signbit(want[want == 0.0]).any() and not np.signbit(want[want == 0.0]).all()
+        for span in (1, 7, 13):
+            got = rows.copy()
+            carry = None
+            for k0 in range(0, len(got), span):
+                chunk = got[k0 : k0 + span]
+                attribution._prefix_sums(chunk, carry)
+                carry = chunk[-1]
+            assert got.tobytes() == want.tobytes(), span
 
 
 @pytest.mark.filterwarnings("error")

@@ -729,6 +729,20 @@ class TestErrorPaths:
         assert stderr.count("error:") == 1 and "seed must be in [0, 2**64)" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("fraction", ["1.5", "inf", "nan"])
+    def test_fraction_outside_the_range_is_exit_one(self, toy_files, capsys, tmp_path, fraction):
+        out = tmp_path / "s.shvr"
+        code, _, stderr = run(
+            capsys,
+            "attribute", "--model", toy_files["model"], "--vocab", toy_files["vocab"],
+            "--data", toy_files["data"], "--out", str(out), "--fraction", fraction,
+        )
+        assert code == 1
+        lines = stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "fraction must be in (0, 1]" in lines[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_subsample_seed_outside_the_range_is_exit_one(self, toy_files, capsys, tmp_path, seed):
         out = tmp_path / "s.shvr"
