@@ -15,23 +15,23 @@ increase its removal causes. A visit's removal order is keyed by (seed, pass,
 instance index) alone: the three are folded into one SplitMix64 stream state
 (Steele, Lea & Flood, 2014), and the order is the argsort of that stream's
 first m * d outputs. The outputs of a stream are distinct, so the order is
-uniform and unique. The block, sub-batch and step-chunk sizes are fixed
-constants and the block partition does not depend on the worker count, so
-results do not depend on thread count; they can move in the last bits if
-those sizes change, since a block's sums are grouped by block and a DeepFM's
-GEMM rows can round differently with the number of rows multiplied together.
-A sub-batch of visits draws its orders in a few whole-array integer
-operations and one argsort. A walk is not re-scored from scratch at each
-step: removing value e from embedding column c lowers the pairwise term by
-e * (S_c - e), S_c being that column's sum over the coordinates still
-present, and a DeepFM's first layer is linear in the flat embedding, so its
-pre-activations drop by the removed value times its weight column. Only the
-later MLP layers run per step, and the visits of a block are walked together
-in sub-batches. The scores only rank coordinates, and
-their noise floor is the Monte Carlo error, so a DeepFM walk runs its
-interior steps 1..m * d - 1 (the first-layer shifts and the MLP) in float32,
-a chunk of consecutive steps at a time in one 512 KiB buffer that stays in
-L2 cache; a chunk hands only its running first-layer sum to the next.
+uniform and unique. Visits are walked together in blocks of
+min(1024, 49152 // (m * d + 1)) visits, one walk call per block. The block
+size depends on m * d alone, not on the worker count, so results do not
+depend on thread count; they can move in the last bits if the block or
+step-chunk size changes, since a block's sums are grouped by block and a
+DeepFM's GEMM rows can round differently with the number of rows multiplied
+together. A block draws its orders in a few whole-array integer operations
+and one argsort. A walk is not re-scored from scratch at each step: removing
+value e from embedding column c lowers the pairwise term by e * (S_c - e),
+S_c being that column's sum over the coordinates still present, and a
+DeepFM's first layer is linear in the flat embedding, so its pre-activations
+drop by the removed value times its weight column. Only the later MLP layers
+run per step. The scores only rank coordinates, and their noise floor is the
+Monte Carlo error, so a DeepFM walk runs its interior steps 1..m * d - 1
+(the first-layer shifts and the MLP) in float32, a chunk of consecutive
+steps at a time in one 512 KiB buffer that stays in L2 cache; a chunk hands
+only its running first-layer sum to the next.
 Steps 0 and m * d, the pairwise and linear terms, the losses and the sums
 stay float64; the endpoints are computed directly, so each walk's marginals
 still add up to its full-removal loss jump. An FM walk is all float64. A
@@ -82,25 +82,26 @@ _CODE_METHODS = {code: name for name, code in _METHOD_CODES.items()}
 
 EXACT_PLAYER_LIMIT = 22
 
-# Visits are processed in fixed-size blocks. A block sums its marginals per
-# touched row, and the sums are added into one running table in block order.
-# The block partition never depends on the number of workers, which is what
-# makes the estimate bit-identical for any thread count.
+# Visits are walked in blocks of max(1, min(_BLOCK_VISITS, _WALK_ROWS //
+# (md + 1))) visits: one _walk_losses call per block. A block sums its
+# marginals per touched row, and the sums are added into one running table in
+# block order. The block partition never depends on the number of workers,
+# which is what makes the estimate bit-identical for any thread count. The cap
+# bounds a narrow walk's block: uncapped, toy's md = 9 allows 4915-visit
+# blocks, and its perfbench peak RSS went 43.7-43.9 -> 47.6 MB.
 _BLOCK_VISITS = 1024
-# Walk rows (one payoff each) computed together: a block's visits go through
-# _walk_losses in sub-batches of max(1, _WALK_ROWS // (md + 1)). A DeepFM's
-# prefix sum adds one step row of B * h1 values per call, so wide rows pay
-# off: at md = 624 a sub-batch holds 78 visits, a row 4992 values at
-# h1 = 64. The scratch buffer holds one chunk of steps (_CHUNK_VALUES), not
-# the sub-batch's whole interior, so wider sub-batches cost it nothing;
-# 65536 rows ran no faster and less steadily.
+# Walk rows (one payoff each) per block. A DeepFM's prefix sum adds one step
+# row of B * h1 values per call, so wide rows pay off: at md = 624 a block
+# holds 78 visits, a row 4992 values at h1 = 64. The chunk buffer holds one
+# chunk of steps (_CHUNK_VALUES), not the block's whole interior, so wider
+# blocks cost it nothing; 65536 rows ran no faster and less steadily.
 _WALK_ROWS = 49152
 # Float32 values in one chunk of a DeepFM walk's interior steps: a chunk's
 # first-layer rows are gathered, scaled, summed, subtracted from step 0 and
 # run through the MLP while they sit in one 512 KiB buffer, which stays in a
-# 2 MiB per-core L2 across those six sweeps. A sub-batch's whole interior
-# (3.95 MiB at 26 visits and md = 624) went to L3 on every sweep; 262144
-# values ran no faster. A chunk holds at least one step.
+# 2 MiB per-core L2 across those six sweeps. A whole interior (3.95 MiB at
+# 26 visits and md = 624) went to L3 on every sweep; 262144 values ran no
+# faster. A chunk holds at least one step.
 _CHUNK_VALUES = 131072
 
 # SplitMix64's stream increment: odd, so k * _GAMMA mod 2**64 is distinct
@@ -226,23 +227,6 @@ def _prefix_sums(rows: np.ndarray, carry=None) -> None:
         rows[k] += rows[k - 1]
 
 
-def _walk_scratch(model: Model, md: int, batch: int):
-    """A block's DeepFM walk scratch, made once per block (None for an FM):
-    a float32 buffer for one chunk of interior steps, _CHUNK_VALUES values
-    (at least one step of batch visits, at most all md - 1 steps), the first
-    layer's weight columns W.T as float32 rows, and the MLP layers cast to
-    float32. Allocating the buffer per sub-batch lets the allocator hand its
-    pages back and fault them in again, which halved throughput at
-    md = 624."""
-    if model.backbone.kind != DEEPFM:
-        return None
-    head = [(W.astype(np.float32), b.astype(np.float32)) for W, b in model.backbone.layers]
-    W = head[0][0]
-    row = batch * W.shape[0]
-    work = np.empty(min((md - 1) * row, max(row, _CHUNK_VALUES)), np.float32)
-    return work, np.ascontiguousarray(W.T), head
-
-
 def _pair_walk(emb: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """The pairwise term (B, md + 1) at every step of B removal walks of the
     (B, m, d) stack emb, column k of it with the first k coordinates of
@@ -270,15 +254,14 @@ def _pair_walk(emb: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return pair
 
 
-def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.ndarray, scratch):
+def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.ndarray):
     """The payoff at every step of B removal walks, shape (B, md + 1): entry
     (b, k) is the loss of instance (ids[b], labels[b]) with the first k
     coordinates of perms[b] zeroed, a coordinate (j, c) being flat index
     j * d + c. Step 0 is the untouched instance and step md the fully
     removed one; both are computed directly in float64, so the walk's total
     does not depend on rounding along the way. A DeepFM's interior steps
-    run their MLP in float32 on the _walk_scratch of a batch of at least B
-    visits (scratch is None for an FM, whose walk is all float64)."""
+    run in float32; an FM's walk is all float64."""
     backbone = model.backbone
     emb = model.embedding.values.take(ids, 0)
     B, m, d = emb.shape
@@ -291,11 +274,12 @@ def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.nd
         # md run the float64 head directly (step md's first layer is b
         # alone); the interior steps 1..md-1 run in float32, step-major, so
         # every step's pre-activations are contiguous, in chunks of steps
-        # that fit the scratch buffer. A chunk carries only its last prefix
-        # row, the running sum, into the next.
+        # that fit one _CHUNK_VALUES buffer. A chunk carries only its last
+        # prefix row, the running sum, into the next.
         W, b = backbone.layers[0]
-        work, WT, head = scratch
-        h1 = WT.shape[1]
+        head = [(w.astype(np.float32), c.astype(np.float32)) for w, c in backbone.layers]
+        WT = np.ascontiguousarray(head[0][0].T)
+        h1 = W.shape[0]
         ends = np.empty((B + 1, h1))
         np.matmul(emb.reshape(B, md), W.T, out=ends[:B])
         ends[:B] += b
@@ -307,6 +291,7 @@ def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.nd
         # the value removed at each step, step-major
         gone = emb.reshape(B, md)[np.arange(B)[:, None], perms].T.astype(np.float32)
         span = max(1, _CHUNK_VALUES // (B * h1))
+        work = np.empty(min(md - 1, span) * B * h1, np.float32)
         carry = None
         for k0 in range(1, md, span):
             k1 = min(k0 + span, md)
@@ -325,23 +310,20 @@ def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.nd
     return log_loss(_sigmoid(z), labels[:, None])
 
 
-def _run_block(model: Model, dataset: Dataset, seed: int, total_visits: int, first: int):
-    """Touched rows (U,) and summed marginals (U, d) of the block of visits
-    from first on; each row adds its marginals in visit order from 0.0."""
+def _run_block(model: Model, dataset: Dataset, seed: int, visits: np.ndarray):
+    """Touched rows (U,) and summed marginals (U, d) of the block of visit
+    numbers visits, walked in one call; each row adds its marginals in visit
+    order from 0.0."""
     n, d = model.embedding.values.shape
     md = dataset.ids.shape[1] * d
-    visits = np.arange(first, min(first + _BLOCK_VISITS, total_visits))
     pass_idx, inst = np.divmod(visits, len(dataset))
+    ids = dataset.ids[inst]
+    perms = _walk_orders(seed, pass_idx, inst, md)
+    losses = _walk_losses(model, ids, dataset.labels[inst], perms)
     marginals = np.empty((visits.shape[0], md))
-    batch = max(1, _WALK_ROWS // (md + 1))
-    scratch = _walk_scratch(model, md, batch)
-    for start in range(0, visits.shape[0], batch):
-        sub = slice(start, start + batch)
-        perms = _walk_orders(seed, pass_idx[sub], inst[sub], md)
-        losses = _walk_losses(model, dataset.ids[inst[sub]], dataset.labels[inst[sub]], perms, scratch)
-        # the marginal of step k belongs to the coordinate removed at step k
-        marginals[sub][np.arange(perms.shape[0])[:, None], perms] = np.diff(losses, axis=1)
-    return _row_sums(dataset.ids[inst], n, marginals.reshape(-1, d))
+    # the marginal of step k belongs to the coordinate removed at step k
+    marginals[np.arange(visits.shape[0])[:, None], perms] = np.diff(losses, axis=1)
+    return _row_sums(ids, n, marginals.reshape(-1, d))
 
 
 def estimate_shapley(
@@ -363,16 +345,18 @@ def estimate_shapley(
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     total_visits = passes * len(dataset)
-    block = partial(_run_block, model, dataset, seed, total_visits)
-    firsts = range(0, total_visits, _BLOCK_VISITS)
+    md = dataset.ids.shape[1] * model.embedding.d
+    size = max(1, min(_BLOCK_VISITS, _WALK_ROWS // (md + 1)))
+    block = partial(_run_block, model, dataset, seed)
+    blocks = np.split(np.arange(total_visits), range(size, total_visits, size))
     # skipping untouched rows is exact: phi starts at +0.0, and no sum is -0.0
     phi = np.zeros((model.embedding.n, model.embedding.d))
     if threads == 1:
-        for rows, sums in map(block, firsts):
+        for rows, sums in map(block, blocks):
             phi[rows] += sums
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rows, sums in pool.map(block, firsts):  # yields in block order
+            for rows, sums in pool.map(block, blocks):  # yields in block order
                 phi[rows] += sums
     phi /= total_visits
     return AttributionScores(
@@ -380,7 +364,7 @@ def estimate_shapley(
         SHAPLEY,
         seed=seed,
         passes=passes,
-        forward_count=(dataset.ids.shape[1] * model.embedding.d + 1) * total_visits,
+        forward_count=(md + 1) * total_visits,
         dataset_fingerprint=dataset.fingerprint(),
     )
 

@@ -269,8 +269,11 @@ def build_vocabulary(raw_rows, schema: FieldSchema, min_count: int = 0) -> Vocab
     """Count tokens per field and assign ids to those with count >= min_count,
     in order of first appearance. Everything else encodes to the field's OOV
     id, and so does a cell spelled OOV_TOKEN, which is that id's own spelling
-    (see Vocabulary.token_of) and never gets an id of its own.
+    (see Vocabulary.token_of) and never gets an id of its own. min_count
+    must lie in [0, 2**64), the range a vocabulary file records.
     """
+    if not 0 <= min_count < 2**64:
+        raise DataError(f"min_count must be in [0, 2**64), got {min_count}")
     _, columns = _token_columns(raw_rows, schema)
     tables = []
     for column in columns:

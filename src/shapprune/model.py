@@ -136,6 +136,8 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def init_model(vocab: Vocabulary, config: TrainConfig) -> Model:

@@ -48,6 +48,8 @@ class SyntheticConfig:
             raise ValueError("each field needs at least 2 tokens")
         if self.rows < 1:
             raise ValueError("rows must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def synthetic_rows(config: SyntheticConfig) -> list:

@@ -214,45 +214,36 @@ def reference_estimate_shapley(model, dataset, passes=1, seed=0, threads=1):
     """estimate_shapley as it was with one (n, d) table per visit block:
     each block scatters its marginals with np.add.at into its own zero
     table, and the tables are kept in a list and summed in block order at
-    the end. The walk orders (_walk_orders), the walk (_walk_losses), its
-    scratch (_walk_scratch) and the block and sub-batch sizes are read from
-    the library, so a monkeypatched size applies to both."""
+    the end. The walk orders (_walk_orders), the walk (_walk_losses) and the
+    block size constants are read from the library, so a monkeypatched size
+    applies to both."""
     from concurrent.futures import ThreadPoolExecutor
 
     from shapprune import attribution
-    from shapprune.attribution import (
-        SHAPLEY,
-        AttributionScores,
-        _walk_losses,
-        _walk_orders,
-        _walk_scratch,
-    )
+    from shapprune.attribution import SHAPLEY, AttributionScores, _walk_losses, _walk_orders
 
-    def _visit_blocks(total_visits: int):
-        for start in range(0, total_visits, attribution._BLOCK_VISITS):
-            yield start, min(start + attribution._BLOCK_VISITS, total_visits)
+    def _visit_blocks(total_visits: int, md: int):
+        size = max(1, min(attribution._BLOCK_VISITS, attribution._WALK_ROWS // (md + 1)))
+        for start in range(0, total_visits, size):
+            yield start, min(start + size, total_visits)
 
     def _run_block(model, dataset, seed: int, span) -> np.ndarray:
         n, d = model.embedding.values.shape
         md = dataset.ids.shape[1] * d
-        count = len(dataset)
         phi = np.zeros((n, d))
-        batch = max(1, attribution._WALK_ROWS // (md + 1))
-        scratch = _walk_scratch(model, md, batch)
-        for first in range(span[0], span[1], batch):
-            pass_idx, inst = np.divmod(np.arange(first, min(first + batch, span[1])), count)
-            perms = _walk_orders(seed, pass_idx, inst, md)
-            ids = dataset.ids[inst]
-            losses = _walk_losses(model, ids, dataset.labels[inst], perms, scratch)
-            local = np.empty(perms.shape)
-            local[np.arange(inst.shape[0])[:, None], perms] = np.diff(losses, axis=1)
-            np.add.at(phi, ids, local.reshape(ids.shape + (d,)))
+        pass_idx, inst = np.divmod(np.arange(*span), len(dataset))
+        perms = _walk_orders(seed, pass_idx, inst, md)
+        ids = dataset.ids[inst]
+        losses = _walk_losses(model, ids, dataset.labels[inst], perms)
+        local = np.empty(perms.shape)
+        local[np.arange(inst.shape[0])[:, None], perms] = np.diff(losses, axis=1)
+        np.add.at(phi, ids, local.reshape(ids.shape + (d,)))
         return phi
 
     count = len(dataset)
     md = dataset.ids.shape[1] * model.embedding.d
     total_visits = passes * count
-    spans = list(_visit_blocks(total_visits))
+    spans = list(_visit_blocks(total_visits, md))
     if threads == 1:
         parts = [_run_block(model, dataset, seed, span) for span in spans]
     else:

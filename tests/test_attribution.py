@@ -226,7 +226,7 @@ class TestEstimator:
 
     def test_memory_does_not_grow_with_passes(self, monkeypatch):
         # 96 rows in 64-visit blocks: 8 passes walk 12 blocks. The running
-        # table, one block of marginals and one sub-batch's walk temporaries
+        # table and one block's marginals and walk temporaries
         # (about 0.8 table here) peak near 2 table sizes at any pass count;
         # a table held per block would add one per block.
         monkeypatch.setattr(attribution, "_BLOCK_VISITS", 64)
@@ -242,13 +242,13 @@ class TestEstimator:
 
     def test_wide_walk_scratch_stays_small(self):
         # 39 fields x d = 16 (md = 624) and a (64, 32) MLP, the wide-deepfm
-        # shape, walking one full sub-batch of _WALK_ROWS // 625 visits (78
-        # at 49152 rows). The interior steps run in chunks of _CHUNK_VALUES
-        # float32 first-layer values (512 KiB), so the scratch buffer and the
-        # tail's products stay one chunk whatever the sub-batch; what grows
-        # with it is the (B, md) walk arrays and the marginals. A
-        # scratch buffer sized by the sub-batch (3.95 MiB at 26 visits)
-        # would raise the peak past the bound along with perfbench's RSS.
+        # shape, walking one full block of _WALK_ROWS // 625 visits (78 at
+        # 49152 rows). The interior steps run in chunks of _CHUNK_VALUES
+        # float32 first-layer values (512 KiB), so the chunk buffer and the
+        # tail's products stay one chunk whatever the block; what grows with
+        # it is the (B, md) walk arrays and the marginals. A buffer sized by
+        # the block's whole interior (3.95 MiB at 26 visits) would raise the
+        # peak past the bound along with perfbench's RSS.
         count = attribution._WALK_ROWS // 625
         ds = small_table_corpus(5, n_fields=39, field_size=4, count=count)
         model = sp.init_model(ds.vocab, sp.TrainConfig(backbone=sp.DEEPFM, dim=16, hidden=(64, 32), seed=0))
@@ -286,9 +286,10 @@ class TestIncrementalWalk:
         ids=["one-sub-batch", "rows-below-md-plus-1", "partial-last-sub-batch"],
     )
     def test_matches_stacked_walk(self, monkeypatch, kind, hidden, walk_rows, block_visits):
-        # md = 3 * 2 = 6. walk_rows 6 < md + 1 leaves one visit per
-        # sub-batch; 21 rows make sub-batches of 3 visits, so each 16-visit
-        # block and the last 8-visit one end on a partial sub-batch.
+        # md = 3 * 2 = 6, and 8 instances x 5 passes make 40 visits. By
+        # default they are one block; walk_rows 6 < md + 1 leaves one visit
+        # per block; 21 rows make 3-visit blocks, under the 16-visit cap,
+        # and the last block holds the one visit left over.
         model, ids, labels = tiny_random_model(11, kind, n_fields=3, field_size=3, dim=2, hidden=hidden)
         ds = sp.dataset_from_encoded(ids, labels, model.vocab)
         if walk_rows is not None:
@@ -302,7 +303,7 @@ class TestIncrementalWalk:
 
     @pytest.mark.parametrize("steps", [1, 2, 5], ids=["one-step-chunks", "partial-last-chunk", "one-chunk"])
     def test_chunked_interior_matches_stacked_walk(self, monkeypatch, steps):
-        # md = 6: 8 instances x 5 passes make one 40-visit sub-batch whose
+        # md = 6: 8 instances x 5 passes make one 40-visit block whose
         # 5 interior steps run in chunks of `steps` steps of 40 * 4 values
         # each (2 + 2 + 1 for steps = 2).
         model, ids, labels = tiny_random_model(11, sp.DEEPFM, n_fields=3, field_size=3, dim=2, hidden=(4, 3))
@@ -314,10 +315,10 @@ class TestIncrementalWalk:
 
     def test_matches_stacked_walk_at_wide_rows(self):
         # md = 6 * 16 = 96 and a (64, 32) MLP: each prefix-sum step adds a
-        # row of B * 64 values. 700 visits make a sub-batch of
+        # row of B * 64 values. 700 visits make a block of
         # 49152 // 97 = 506 visits and a partial one of 194, so the 95
         # interior steps run in 4-step chunks (the last of 3) for the full
-        # sub-batch and in 10-step chunks (the last of 5) for the partial one.
+        # block and in 10-step chunks (the last of 5) for the partial one.
         model, _, _ = tiny_random_model(5, sp.DEEPFM, n_fields=6, field_size=4, dim=16, hidden=(64, 32))
         ds = small_table_corpus(9, n_fields=6, field_size=4, count=350)
         assert 1 < attribution._WALK_ROWS // 97 < 2 * len(ds)
@@ -338,8 +339,7 @@ class TestIncrementalWalk:
         model, ids, labels = tiny_random_model(6, kind, n_fields=fields, field_size=3, dim=dim, hidden=hidden)
         md = fields * dim
         perms = attribution._walk_orders(2, np.zeros(len(ids), np.int64), np.arange(len(ids)), md)
-        scratch = attribution._walk_scratch(model, md, len(ids))
-        losses = attribution._walk_losses(model, ids, labels, perms, scratch)
+        losses = attribution._walk_losses(model, ids, labels, perms)
         assert losses.shape == (len(ids), md + 1)
         removed = np.zeros((2, fields, dim), bool)
         removed[1] = True
@@ -350,12 +350,14 @@ class TestIncrementalWalk:
     def test_fm_score_file_is_pinned(self):
         # An FM walk is all float64, so its score file is pinned bit for
         # bit. The digest was recorded on x86_64 with numpy 2.4; exp and log
-        # paths that round differently on another platform would move it.
+        # paths that round differently on another platform would move it,
+        # and so would a new block size: md = 80 cuts the 900 visits into
+        # blocks of 606 and 294, and each block's sums are grouped apart.
         model, _, _ = tiny_random_model(3, sp.FM, n_fields=5, field_size=40, dim=16)
         ds = small_table_corpus(12, n_fields=5, field_size=40, count=300)
         blob = sp.estimate_shapley(model, ds, passes=3, seed=17).to_bytes()
         assert hashlib.sha256(blob).hexdigest() == (
-            "5aaa92d0a046f25e31c09c48bbcfb4a0dcb717800dc59597aa489031cbe22be6"
+            "dd863f8af7b0d4620b4153aa7e78d3fbbdd9cd61bc429701e773533e10e28c5b"
         )
 
     def test_prefix_sums_are_cumsum_bitwise(self):
@@ -399,7 +401,7 @@ class TestWalkOrders:
 
     @pytest.mark.parametrize("md", [1, 9, 80, 624, 4200, 8400])
     def test_rows_are_permutations(self, md):
-        # md = 8400 leaves one visit per sub-batch: the uint64 arithmetic
+        # md = 8400 leaves one visit per block: the uint64 arithmetic
         # still runs on arrays and wraps without an overflow warning
         batch = max(1, attribution._WALK_ROWS // (md + 1))
         pass_idx, inst = self.visits(batch)
@@ -458,8 +460,11 @@ class TestWalkOrders:
 class TestBlockMerge:
     """estimate_shapley against reference_estimate_shapley, which keeps one
     (n, d) table per block and sums the list at the end: the score files
-    must match byte for byte. With 5 tokens per field, a block of one
-    visit leaves most rows untouched."""
+    must match byte for byte. A block is min(block_visits, walk_rows //
+    (md + 1)) visits (md = 6), so both sizes shape the one partition:
+    under the default walk rows, blocks of 1 or 16 visits or one block of
+    all 8 or 40; at walk_rows 6, one-visit blocks whatever the cap. With 5
+    tokens per field, a block of one visit leaves most rows untouched."""
 
     @pytest.mark.parametrize(
         "kind, hidden",

@@ -699,6 +699,10 @@ class TestErrorPaths:
             (("--lr", "0"), "learning_rate"),
             (("--lr", "nan"), "learning_rate"),
             (("--lr", "inf"), "learning_rate"),
+            (("--seed", "-1"), "seed must be non-negative, got -1"),
+            # refused before any row is counted, so no <out>.vocab is left
+            (("--min-count", "-1"), "min_count must be in [0, 2**64), got -1"),
+            (("--min-count", str(2**64)), f"min_count must be in [0, 2**64), got {2**64}"),
         ],
     )
     def test_bad_training_config_is_exit_one(self, toy_files, capsys, tmp_path, flags, message):
@@ -710,6 +714,12 @@ class TestErrorPaths:
         assert code == 1
         assert stderr.count("error:") == 1 and message in stderr
         assert stdout == "" and list(tmp_path.iterdir()) == []
+
+    def test_negative_synth_seed_is_exit_one(self, capsys, tmp_path):
+        code, _, stderr = run(capsys, "synth", "--out", str(tmp_path / "x.csv"), "--seed", "-1")
+        assert code == 1
+        assert stderr.count("error:") == 1 and "seed must be non-negative, got -1" in stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_synth_fields_is_exit_one(self, capsys, tmp_path):
         code, _, stderr = run(capsys, "synth", "--out", str(tmp_path / "x.csv"), "--fields", "0")

@@ -109,6 +109,11 @@ class TestVocabularyBuild:
         vocab = sp.build_vocabulary(self.rows(), self.schema(), min_count=0)
         assert sum(vocab.field_sizes) == vocab.n == 7
 
+    @pytest.mark.parametrize("min_count", [-1, 2**64])
+    def test_min_count_outside_the_recorded_range_rejected(self, min_count):
+        with pytest.raises(sp.DataError, match=rf"min_count must be in \[0, 2\*\*64\), got {min_count}"):
+            sp.build_vocabulary(self.rows(), self.schema(), min_count=min_count)
+
     def test_empty_input_rejected(self):
         with pytest.raises(sp.DataError, match="empty dataset"):
             sp.build_vocabulary([], self.schema())
@@ -507,6 +512,7 @@ class TestColumnTokenizer:
             (dict(fields=2, tokens_per_field=(5,)), "tokens_per_field"),
             (dict(fields=2, tokens_per_field=(5, 1)), "at least 2 tokens"),
             (dict(fields=1, tokens_per_field=(5,), rows=0), "rows"),
+            (dict(fields=1, tokens_per_field=(5,), seed=-1), "seed must be non-negative, got -1"),
         ],
     )
     def test_synthetic_config_validation(self, kwargs, message):

@@ -217,7 +217,10 @@ class TestInitAndConfig:
         for rate in (0.0, -0.01, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="learning_rate"):
                 sp.TrainConfig(learning_rate=rate)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            sp.TrainConfig(seed=-1)
         sp.TrainConfig(epochs=0)
+        sp.TrainConfig(seed=2**64)
 
 
 class TestTraining:
