@@ -16,13 +16,13 @@ instance index) alone: the three are folded into one SplitMix64 stream state
 (Steele, Lea & Flood, 2014), and the order is the argsort of that stream's
 first m * d outputs. The outputs of a stream are distinct, so the order is
 uniform and unique. Visits are walked together in blocks of
-min(1024, 49152 // (m * d + 1)) visits, one walk call per block. The block
-size depends on m * d alone, not on the worker count, so results do not
-depend on thread count; they can move in the last bits if the block or
-step-chunk size changes, since a block's sums are grouped by block and a
-DeepFM's GEMM rows can round differently with the number of rows multiplied
-together. A block draws its orders in a few whole-array integer operations
-and one argsort. A walk is not re-scored from scratch at each step: removing
+min(1024, 49152 // (m * d + 1)) visits, one walk call per block, and the
+blocks run in order on the calling thread. The block partition depends on
+m * d alone; results can move in the last bits if the block or step-chunk
+size changes, since a block's sums are grouped by block and a DeepFM's GEMM
+rows can round differently with the number of rows multiplied together. A
+block draws its orders in a few whole-array integer operations and one
+argsort. A walk is not re-scored from scratch at each step: removing
 value e from embedding column c lowers the pairwise term by e * (S_c - e),
 S_c being that column's sum over the coordinates still present, and a
 DeepFM's first layer is linear in the flat embedding, so its pre-activations
@@ -49,9 +49,7 @@ from the average gradient.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -85,10 +83,10 @@ EXACT_PLAYER_LIMIT = 22
 # Visits are walked in blocks of max(1, min(_BLOCK_VISITS, _WALK_ROWS //
 # (md + 1))) visits: one _walk_losses call per block. A block sums its
 # marginals per touched row, and the sums are added into one running table in
-# block order. The block partition never depends on the number of workers,
-# which is what makes the estimate bit-identical for any thread count. The cap
-# bounds a narrow walk's block: uncapped, toy's md = 9 allows 4915-visit
-# blocks, and its perfbench peak RSS went 43.7-43.9 -> 47.6 MB.
+# block order. The partition depends on md alone, so the grouping of every
+# sum is fixed by the model and the data. The cap bounds a narrow walk's
+# block: uncapped, toy's md = 9 allows 4915-visit blocks, and its perfbench
+# peak RSS went 43.7-43.9 -> 47.6 MB.
 _BLOCK_VISITS = 1024
 # Walk rows (one payoff each) per block. A DeepFM's prefix sum adds one step
 # row of B * h1 values per call, so wide rows pay off: at md = 624 a block
@@ -332,32 +330,29 @@ def estimate_shapley(
     """Sampled per-parameter Shapley attribution over the whole dataset.
 
     Runs `passes` removal walks per instance and averages the scattered
-    marginals over len(dataset) * passes walks. Identical inputs give
-    identical scores for any `threads`; the forward counter in the result is
-    always (m * d + 1) * len(dataset) * passes. The seed must lie in
-    [0, 2**64), the range a score file records.
+    marginals over len(dataset) * passes walks. The visits are cut into
+    blocks whose size depends on m * d alone, and the blocks are walked in
+    order on the calling thread, so identical inputs give identical scores.
+    The forward counter in the result is always (m * d + 1) * len(dataset) *
+    passes. The seed must lie in [0, 2**64), the range a score file records.
+    `threads` must be 1; it stays only for the benchmark harness, which
+    still passes threads=1.
     """
     dataset.vocab.check_layout(model.embedding.n, model.embedding.offsets)
     if passes < 1:
         raise ValueError("passes must be at least 1")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     total_visits = passes * len(dataset)
     md = dataset.ids.shape[1] * model.embedding.d
     size = max(1, min(_BLOCK_VISITS, _WALK_ROWS // (md + 1)))
-    block = partial(_run_block, model, dataset, seed)
-    blocks = np.split(np.arange(total_visits), range(size, total_visits, size))
     # skipping untouched rows is exact: phi starts at +0.0, and no sum is -0.0
     phi = np.zeros((model.embedding.n, model.embedding.d))
-    if threads == 1:
-        for rows, sums in map(block, blocks):
-            phi[rows] += sums
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rows, sums in pool.map(block, blocks):  # yields in block order
-                phi[rows] += sums
+    for visits in np.split(np.arange(total_visits), range(size, total_visits, size)):
+        rows, sums = _run_block(model, dataset, seed, visits)
+        phi[rows] += sums
     phi /= total_visits
     return AttributionScores(
         phi,

@@ -214,9 +214,7 @@ def cmd_attribute(args) -> int:
             log(event="subsample", fraction=args.fraction, rows=len(dataset))
         if args.method == SHAPLEY:
             start = time.perf_counter()
-            scores = estimate_shapley(
-                model, dataset, passes=args.passes, seed=args.seed, threads=args.threads
-            )
+            scores = estimate_shapley(model, dataset, passes=args.passes, seed=args.seed)
             seconds = time.perf_counter() - start
             report = dict(
                 seconds=seconds,
@@ -402,13 +400,6 @@ def build_parser():
     p.add_argument("--passes", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fraction", type=float, default=1.0, help="subsample the data first")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker cap for attribution; scores are bit-identical for any count, but two "
-        "threads ran at 0.60-0.95x the speed of one on a 2-core host",
-    )
     p.set_defaults(handler=cmd_attribute, input_paths=("model", "vocab", "data"))
     commands["attribute"] = p
 

@@ -53,6 +53,9 @@ class FieldSchema:
             raise DataError("schema needs at least one field")
         if len(self.names) != len(self.kinds):
             raise DataError("schema names and kinds differ in length")
+        for name in self.names:
+            if not isinstance(name, str):
+                raise DataError(f"field name {name!r} is not a string")
         if len(set(self.names)) != len(self.names):
             raise DataError("duplicate field names in schema")
         for kind in self.kinds:

@@ -484,7 +484,8 @@ def write_backbone(w: ser.ByteWriter, backbone: BackboneParams) -> None:
 
 def read_backbone(r: ser.ByteReader, head: tuple) -> BackboneParams:
     """Inverse of write_backbone for the table a read_head result describes.
-    An fm has no MLP layers; a deepfm's layer widths chain from m * d to 1."""
+    An fm has no MLP layers; a deepfm's layer widths chain from m * d to 1,
+    none of them 0."""
     kind, offsets, n, d = head
     linear = np.frombuffer(r.take(8 * n), "<f8").copy()
     bias = r.f64()
@@ -492,7 +493,7 @@ def read_backbone(r: ser.ByteReader, head: tuple) -> BackboneParams:
     width = (offsets.shape[0] - 1) * d
     for _ in range(r.u8()):
         rows, cols = r.u64(), r.u64()
-        if kind == FM or cols != width:
+        if kind == FM or cols != width or rows == 0:
             raise ser.CheckpointError("MLP layer shapes do not fit the backbone")
         W = np.frombuffer(r.take(8 * rows * cols), "<f8").reshape(rows, cols).copy()
         b = np.frombuffer(r.take(8 * rows), "<f8").copy()

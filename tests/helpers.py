@@ -210,15 +210,13 @@ def stacked_walk_shapley(model, dataset, passes, seed):
     return phi / (passes * count)
 
 
-def reference_estimate_shapley(model, dataset, passes=1, seed=0, threads=1):
+def reference_estimate_shapley(model, dataset, passes=1, seed=0):
     """estimate_shapley as it was with one (n, d) table per visit block:
     each block scatters its marginals with np.add.at into its own zero
     table, and the tables are kept in a list and summed in block order at
     the end. The walk orders (_walk_orders), the walk (_walk_losses) and the
     block size constants are read from the library, so a monkeypatched size
     applies to both."""
-    from concurrent.futures import ThreadPoolExecutor
-
     from shapprune import attribution
     from shapprune.attribution import SHAPLEY, AttributionScores, _walk_losses, _walk_orders
 
@@ -244,11 +242,7 @@ def reference_estimate_shapley(model, dataset, passes=1, seed=0, threads=1):
     md = dataset.ids.shape[1] * model.embedding.d
     total_visits = passes * count
     spans = list(_visit_blocks(total_visits, md))
-    if threads == 1:
-        parts = [_run_block(model, dataset, seed, span) for span in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda span: _run_block(model, dataset, seed, span), spans))
+    parts = [_run_block(model, dataset, seed, span) for span in spans]
     phi = np.zeros((model.embedding.n, model.embedding.d))
     for part in parts:  # fixed merge order
         phi += part

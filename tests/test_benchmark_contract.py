@@ -10,8 +10,9 @@ its calls, so a change to any of them is a change to the benchmark:
   predict_proba, log_loss, save_model, load_model,
   shapprune.model.model_to_bytes, and dataclasses.replace(model,
   codebook=) with a compute_codebook result;
-- attribution: estimate_shapley with threads=, exact_shapley_global,
-  AttributionScores.save, .load, .to_bytes, .values and .forward_count;
+- attribution: estimate_shapley with threads=1 (the only value it
+  accepts), exact_shapley_global, AttributionScores.save, .load,
+  .to_bytes, .values and .forward_count;
 - pruning: positional prune(model, scores, t, padding, codebook,
   frequencies), prune_curve(model, scores, grid, holdout, padding=,
   codebook=, frequencies=), write_curve_csv, evaluate and load_pruned. Of

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import os
 import shutil
@@ -10,12 +12,21 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import shapprune as sp
 from shapprune import serialization as ser
+from shapprune.attribution import _walk_losses
 from shapprune.cli import _detect_and_load, main
+from shapprune.model import (
+    NonFiniteError,
+    model_from_bytes,
+    model_to_bytes,
+    write_backbone,
+    write_head,
+)
 from shapprune.serialization import CheckpointError
-from shapprune.model import write_backbone, write_head
 
 
 def run(capsys, *argv):
@@ -407,19 +418,6 @@ class TestDeterminism:
             assert code == 0
         assert Path(a).read_bytes() == Path(b).read_bytes()
 
-    def test_threads_do_not_change_the_file(self, toy_files, capsys, tmp_path):
-        a = str(tmp_path / "t1.shvr")
-        b = str(tmp_path / "t4.shvr")
-        for out, threads in ((a, "1"), (b, "4")):
-            code, _, _ = run(
-                capsys,
-                "attribute", "--model", toy_files["model"], "--vocab", toy_files["vocab"],
-                "--data", toy_files["data"], "--out", out, "--method", "shapley",
-                "--passes", "30", "--seed", "5", "--threads", threads,
-            )
-            assert code == 0
-        assert Path(a).read_bytes() == Path(b).read_bytes()
-
     def test_different_seeds_differ(self, toy_files, capsys, tmp_path):
         a = str(tmp_path / "s0.shvr")
         b = str(tmp_path / "s1.shvr")
@@ -471,17 +469,21 @@ class TestConfigFile:
         assert code == 1
         assert "unknown key 'momentum'" in stderr
 
-    def test_threads_belongs_to_attribute_only(self, toy_files, capsys, tmp_path):
-        out = tmp_path / "pruned.shvr"
-        prune = ["prune", "--model", toy_files["model"], "--scores", toy_files["scores"],
-                 "--sparsity", "0.5", "--out", str(out)]
-        assert run(capsys, *prune, "--threads", "2")[0] == 2
+    def test_no_stage_accepts_threads(self, toy_files, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("threads=2\n")
-        code, _, stderr = run(capsys, *prune, "--config", str(config))
-        assert code == 1
-        assert "unknown key 'threads'" in stderr
-        assert not out.exists()
+        scores = tmp_path / "scores.shvr"
+        attribute = ["attribute", "--model", toy_files["model"], "--vocab", toy_files["vocab"],
+                     "--data", toy_files["data"], "--out", str(scores)]
+        pruned = tmp_path / "pruned.shvr"
+        prune = ["prune", "--model", toy_files["model"], "--scores", toy_files["scores"],
+                 "--sparsity", "0.5", "--out", str(pruned)]
+        for args, out in ((attribute, scores), (prune, pruned)):
+            assert run(capsys, *args, "--threads", "2")[0] == 2
+            code, _, stderr = run(capsys, *args, "--config", str(config))
+            assert code == 1
+            assert "unknown key 'threads'" in stderr
+            assert not out.exists()
 
     def test_malformed_line_is_a_domain_error(self, toy_files, capsys, tmp_path):
         config = tmp_path / "run.cfg"
@@ -715,6 +717,37 @@ class TestErrorPaths:
         assert stderr.count("error:") == 1 and message in stderr
         assert stdout == "" and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("name", [5, None, ["a"]], ids=["int", "null", "list"])
+    def test_field_name_that_is_not_a_string_is_exit_one(self, toy_files, capsys, tmp_path, name):
+        doc = json.loads(Path(toy_files["schema"]).read_text())
+        doc["fields"][1]["name"] = name
+        schema = tmp_path / "bad.json"
+        schema.write_text(json.dumps(doc))
+        code, _, stderr = run(
+            capsys,
+            "train", "--data", toy_files["data"], "--schema", str(schema),
+            "--out", str(tmp_path / "m.shvr"),
+        )
+        assert code == 1
+        lines = stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "is not a string" in lines[0]
+        assert list(tmp_path.iterdir()) == [schema]
+
+    def test_zero_width_layer_is_exit_one(self, toy_files, capsys, tmp_path):
+        model, out = tmp_path / "zero.shvr", tmp_path / "scores.shvr"
+        model.write_bytes(_model_file(layers=ZERO_WIDTH))
+        code, _, stderr = run(
+            capsys,
+            "attribute", "--model", str(model), "--vocab", toy_files["vocab"],
+            "--data", toy_files["data"], "--out", str(out),
+        )
+        assert code == 1
+        lines = stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "MLP layer shapes do not fit the backbone" in lines[0]
+        assert not out.exists()
+
     def test_negative_synth_seed_is_exit_one(self, capsys, tmp_path):
         code, _, stderr = run(capsys, "synth", "--out", str(tmp_path / "x.csv"), "--seed", "-1")
         assert code == 1
@@ -772,6 +805,10 @@ class TestErrorPaths:
     def test_unknown_flag_is_exit_two(self, capsys, tmp_path):
         code, _, _ = run(capsys, "synth", "--out", str(tmp_path / "x.csv"), "--zipf", "2")
         assert code == 2
+
+
+# a first layer with no units, and an output layer that reads none
+ZERO_WIDTH = ((0, 9), (1, 0))
 
 
 def _model_file(kind=sp.DEEPFM, offsets=(0, 2, 4, 7), layers=((3, 9), (3, 3), (1, 3))):
@@ -838,6 +875,13 @@ def _pruned_with_sparsity(sparsity):
     return craft
 
 
+def _pruned_zero_width(files):
+    """The toy pruned file with the MLP of ZERO_WIDTH, every weight zero."""
+    pruned = sp.load_pruned(files["pruned"])
+    pruned.backbone.layers = [(np.zeros(shape), np.zeros(shape[0])) for shape in ZERO_WIDTH]
+    return pruned.to_bytes()
+
+
 def _scores_file(files, n=7, nan=False):
     """The toy score file, optionally with one NaN score or a header that
     claims n rows while the section still holds 7 * 3 values."""
@@ -860,6 +904,10 @@ MALFORMED = {
     "output_wider_than_one": (
         sp.load_model, lambda files: _model_file(layers=((3, 9), (2, 3))), "MLP layer"
     ),
+    "zero_width_layer": (
+        sp.load_model, lambda files: _model_file(layers=ZERO_WIDTH), "MLP layer"
+    ),
+    "pruned_zero_width_layer": (sp.load_pruned, _pruned_zero_width, "MLP layer"),
     "offsets_past_n": (
         sp.load_model, lambda files: _model_file(offsets=(0, 2, 4, 9)), "field offsets"
     ),
@@ -930,3 +978,70 @@ class TestMalformedArtifacts:
         code, _, stderr = run(capsys, *argv)
         assert code == 1
         assert "error:" in stderr
+
+
+@pytest.fixture(scope="module")
+def fuzz_artifacts(toy_files):
+    """Name -> (loader, bytes) for seven small artifacts: the toy DeepFM
+    with and without a codebook section, an untrained FM, the zero-width
+    DeepFM of ZERO_WIDTH, the Shapley and magnitude score files and the
+    vocabulary."""
+    vocab = sp.Vocabulary.load(toy_files["vocab"])
+    model = sp.load_model(toy_files["model"])
+    dataset = sp.encode_rows(sp.read_csv_rows(toy_files["data"]), vocab)
+    fm = sp.init_model(vocab, sp.TrainConfig(backbone=sp.FM, dim=2, seed=3))
+    stamped = dataclasses.replace(model, codebook=sp.compute_codebook(model, dataset))
+    files = {key: Path(toy_files[key]).read_bytes() for key in ("model", "scores", "magnitude", "vocab")}
+    return {
+        "deepfm": (model_from_bytes, files["model"]),
+        "deepfm_codebook": (model_from_bytes, model_to_bytes(stamped)),
+        "fm": (model_from_bytes, model_to_bytes(fm)),
+        "zero_width": (model_from_bytes, _model_file(layers=ZERO_WIDTH)),
+        "shapley": (sp.AttributionScores.from_bytes, files["scores"]),
+        "magnitude": (sp.AttributionScores.from_bytes, files["magnitude"]),
+        "vocab": (sp.Vocabulary.from_bytes, files["vocab"]),
+    }
+
+
+def _mutate(body, op, at, data):
+    """body with one bit of byte at flipped (bit data[0] % 8), cut after at
+    bytes, or with data inserted before byte at; at wraps modulo the length
+    (plus one for a cut or an insert)."""
+    if op == "flip":
+        at %= len(body)
+        return body[:at] + bytes([body[at] ^ 1 << data[0] % 8]) + body[at + 1 :]
+    at %= len(body) + 1
+    return body[:at] if op == "cut" else body[:at] + data + body[at:]
+
+
+class TestArtifactFuzz:
+    """A damaged dense-model, score or vocabulary file whose CRC is valid is
+    refused with a CheckpointError and nothing else. A model file that does
+    load can be walked: its one walk over the first id of every field ends
+    in losses or a NonFiniteError, never a crash."""
+
+    @given(
+        name=st.sampled_from(
+            ["deepfm", "deepfm_codebook", "fm", "zero_width", "shapley", "magnitude", "vocab"]
+        ),
+        op=st.sampled_from(["flip", "cut", "insert"]),
+        at=st.integers(0, 2**16),
+        data=st.binary(min_size=1, max_size=16),
+    )
+    @example(name="zero_width", op="cut", at=-1, data=b"\0")  # cut at the end: the file as crafted
+    @settings(max_examples=400, deadline=None)
+    def test_damage_is_a_checkpoint_error(self, fuzz_artifacts, name, op, at, data):
+        load, blob = fuzz_artifacts[name]
+        damaged = ser.seal(_mutate(blob[ser.BODY_START : -4], op, at, data))
+        try:
+            loaded = load(damaged)
+        except CheckpointError:
+            return
+        if isinstance(loaded, sp.Model):
+            ids = loaded.embedding.offsets[None, :-1]
+            md = ids.shape[1] * loaded.embedding.d
+            with np.errstate(all="ignore"):
+                try:
+                    _walk_losses(loaded, ids, np.ones(1), np.arange(md)[None])
+                except NonFiniteError:
+                    pass

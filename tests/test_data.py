@@ -54,6 +54,11 @@ class TestSchema:
         with pytest.raises(sp.DataError, match="duplicate"):
             sp.FieldSchema(("a", "a"), (sp.CATEGORICAL, sp.CATEGORICAL))
 
+    @pytest.mark.parametrize("name", [5, None, ["a"]])
+    def test_rejects_a_name_that_is_not_a_string(self, name):
+        with pytest.raises(sp.DataError, match="is not a string"):
+            sp.FieldSchema(("a", name), (sp.CATEGORICAL, sp.CATEGORICAL))
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(sp.DataError, match="unknown field kind"):
             sp.FieldSchema(("a",), ("textual",))
