@@ -188,6 +188,8 @@ class AttributionScores:
                 method = _CODE_METHODS[code]
                 seed, passes, count = meta.u64(), meta.u64(), meta.u64()
                 fingerprint = meta.u32()
+                if not meta.exhausted:
+                    raise ser.CheckpointError("metadata section has trailing bytes")
         if values is None or method is None:
             raise ser.CheckpointError("score file is missing a required section")
         if not np.isfinite(values).all():

@@ -1,5 +1,5 @@
-"""Command-line pipeline: synth, train, codebook, attribute, prune, eval,
-curve, oracle.
+"""Command-line pipeline: synth, train, attribute, prune, eval, curve,
+oracle.
 
 Every subcommand is runnable on its own given its input files, prints
 key=value lines on stdout, and exits 0 on success, 1 on a domain error
@@ -178,26 +178,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_codebook(args) -> int:
-    vocab, dataset = _load_inputs(args)
-    model = load_model(args.model, vocab)
-    start = time.perf_counter()
-    model.codebook = compute_codebook(model, dataset)
-    seconds = time.perf_counter() - start
-    out = args.out or args.model
-    save_model(model, out)
-    log(
-        event="codebook",
-        fields=model.embedding.field_count,
-        dim=model.embedding.d,
-        fingerprint=model.codebook.frequency_fingerprint,
-        seconds=seconds,
-        rows_per_s=model.embedding.n / seconds,
-        out=out,
-    )
-    return 0
-
-
 def cmd_attribute(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     model = load_model(args.model, vocab)
@@ -237,30 +217,19 @@ def cmd_attribute(args) -> int:
     return 0
 
 
-def _codebook_for(model, padding, dataset):
-    codebook = model.codebook
-    if padding == CODEBOOK and codebook is None:
-        if dataset is None:
-            raise DataError(
-                "codebook padding needs a codebook: embed one with the codebook "
-                "subcommand or pass --data to compute it here"
-            )
-        codebook = compute_codebook(model, dataset)
-    return codebook
-
-
 def cmd_prune(args) -> int:
+    if args.data and not args.vocab:
+        print("error: --data needs --vocab to encode it", file=sys.stderr)
+        return 2
+    if args.padding == CODEBOOK and not args.data:
+        print("error: --padding codebook needs --data to compute the codebook", file=sys.stderr)
+        return 2
     vocab = Vocabulary.load(args.vocab) if args.vocab else None
     model = load_model(args.model, vocab)
     scores = AttributionScores.load(args.scores)
-    dataset = None
-    if args.data:
-        if vocab is None:
-            print("error: --data needs --vocab to encode it", file=sys.stderr)
-            return 2
-        dataset = encode_rows(read_csv_rows(args.data), vocab)
-    codebook = _codebook_for(model, args.padding, dataset)
-    frequencies = dataset.frequencies if dataset is not None else None
+    dataset = encode_rows(read_csv_rows(args.data), vocab) if args.data else None
+    frequencies = None if dataset is None else dataset.frequencies
+    codebook = compute_codebook(model, dataset) if args.padding == CODEBOOK else None
     start = time.perf_counter()
     pruned = prune(model, scores, args.sparsity, args.padding, codebook, frequencies)
     seconds = time.perf_counter() - start
@@ -303,7 +272,7 @@ def cmd_curve(args) -> int:
     vocab, dataset = _load_inputs(args)
     model = load_model(args.model, vocab)
     scores = AttributionScores.load(args.scores)
-    codebook = _codebook_for(model, args.padding, dataset)
+    codebook = compute_codebook(model, dataset) if args.padding == CODEBOOK else None
     start = time.perf_counter()
     rows = prune_curve(
         model,
@@ -383,14 +352,6 @@ def build_parser():
     p.set_defaults(handler=cmd_train, input_paths=("data", "schema", "vocab", "val_data", "mask"))
     commands["train"] = p
 
-    p = sub.add_parser("codebook", parents=[shared], help="embed a field codebook in a checkpoint")
-    p.add_argument("--model", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", help="defaults to rewriting --model")
-    p.set_defaults(handler=cmd_codebook, input_paths=("model", "vocab", "data"))
-    commands["codebook"] = p
-
     p = sub.add_parser("attribute", parents=[shared], help="score embedding parameters")
     p.add_argument("--model", required=True)
     p.add_argument("--vocab", required=True)
@@ -410,7 +371,7 @@ def build_parser():
     p.add_argument("--sparsity", type=float, required=True)
     p.add_argument("--padding", choices=(ZERO, CODEBOOK), default=ZERO)
     p.add_argument("--vocab")
-    p.add_argument("--data", help="for tie-break frequencies and codebook computation")
+    p.add_argument("--data", help="tie-break frequencies; needed for --padding codebook")
     p.set_defaults(handler=cmd_prune, input_paths=("model", "scores", "vocab", "data"))
     commands["prune"] = p
 

@@ -87,4 +87,6 @@ def codebook_from_section(payload: bytes, m: int, d: int) -> Codebook:
         raise ser.CheckpointError("codebook shape does not match the model")
     crc = r.u32()
     values = np.frombuffer(r.take(8 * m * d), "<f8").reshape(m, d).copy()
+    if not r.exhausted:
+        raise ser.CheckpointError("codebook section has trailing bytes")
     return Codebook(values, crc)

@@ -252,6 +252,8 @@ class Vocabulary:
                     f"vocabulary field {names[-1]!r} lists the reserved token {OOV_TOKEN}"
                 )
             tables.append(table)
+        if not r.exhausted:
+            raise ser.CheckpointError("vocabulary has trailing bytes")
         try:
             schema = FieldSchema(tuple(names), tuple(kinds))
         except DataError as exc:

@@ -373,8 +373,9 @@ def train(
     values (zero or the codebook row) before the first step and their
     gradients are zeroed, so their moments stay +0.0, their step is exactly
     0.0 and they never move. The input model is not modified: a trained
-    model is returned that shares init's vocabulary and codebook and owns
-    copies of the arrays training writes.
+    model is returned that shares init's vocabulary and owns copies of the
+    arrays training writes. It carries no codebook, even when init does:
+    init's codebook is a mean of init's table, not of the trained one.
     """
     if init is None:
         model = init_model(dataset.vocab, config)
@@ -385,7 +386,6 @@ def train(
             EmbeddingTable(init.embedding.values.copy(), init.embedding.offsets),
             replace(init.backbone, linear=init.backbone.linear.copy()),
             init.vocab,
-            init.codebook,
         )
     table = model.embedding
     backbone = model.backbone

@@ -44,8 +44,9 @@ Sections:
                 bit, zero past column d-1; then one f64 per set bit, the
                 kept values in row-major order
 
-Text is a u32 byte length followed by UTF-8 bytes. Readers skip sections
-whose tag they do not use.
+Text is a u32 byte length followed by UTF-8 bytes. A section tag appears at
+most once in a body, and every body and section payload is read to its last
+byte. Readers skip sections whose tag they do not use.
 """
 
 from __future__ import annotations
@@ -152,9 +153,13 @@ class ByteReader:
 
     def sections(self):
         """Yield (tag, payload) for the framed sections occupying the rest
-        of the body."""
+        of the body. A tag that appears twice is a CheckpointError."""
+        seen = set()
         while not self.exhausted:
             tag = self.u8()
+            if tag in seen:
+                raise CheckpointError(f"section {tag} appears twice")
+            seen.add(tag)
             length = self.u64()
             yield tag, self.take(length)
 

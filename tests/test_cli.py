@@ -19,6 +19,7 @@ import shapprune as sp
 from shapprune import serialization as ser
 from shapprune.attribution import _walk_losses
 from shapprune.cli import _detect_and_load, main
+from shapprune.codebook import codebook_section_payload
 from shapprune.model import (
     NonFiniteError,
     model_from_bytes,
@@ -188,26 +189,16 @@ class TestPipeline:
         done = stdout.splitlines()[-1]
         assert {"seconds", "points_per_s"} <= {pair.split("=")[0] for pair in done.split()}
 
-    def test_codebook_embeds_into_checkpoint(self, toy_files, capsys, tmp_path):
-        copy = str(tmp_path / "model.shvr")
-        shutil.copy(toy_files["model"], copy)
-        code, stdout, _ = run(
-            capsys,
-            "codebook", "--model", copy, "--vocab", toy_files["vocab"],
-            "--data", toy_files["data"],
-        )
-        assert code == 0
-        assert "event=codebook" in stdout
-        assert {"seconds", "rows_per_s"} <= {pair.split("=")[0] for pair in stdout.split()}
-        model = sp.load_model(copy)
-        assert model.codebook is not None
-        assert model.codebook.values.shape == (3, 3)
-
     def test_prune_with_codebook_padding(self, toy_files, capsys, tmp_path):
+        # a codebook embedded in the dense file is not read: the codebook
+        # comes from --data
+        model = sp.load_model(toy_files["model"])
+        stamped = str(tmp_path / "stamped.shvr")
+        sp.save_model(dataclasses.replace(model, codebook=sp.Codebook(np.ones((3, 3)))), stamped)
         out = str(tmp_path / "pruned_cb.shvr")
         code, stdout, _ = run(
             capsys,
-            "prune", "--model", toy_files["model"], "--scores", toy_files["scores"],
+            "prune", "--model", stamped, "--scores", toy_files["scores"],
             "--vocab", toy_files["vocab"], "--data", toy_files["data"],
             "--sparsity", "0.8", "--padding", "codebook", "--out", out,
         )
@@ -216,7 +207,12 @@ class TestPipeline:
         assert {"seconds", "coords_per_s"} <= {pair.split("=")[0] for pair in stdout.split()}
         pruned = sp.load_pruned(out)
         assert pruned.padding == sp.CODEBOOK
-        assert pruned.codebook is not None
+        dataset = sp.encode_rows(
+            sp.read_csv_rows(toy_files["data"]), sp.Vocabulary.load(toy_files["vocab"])
+        )
+        expected = sp.compute_codebook(model, dataset)
+        assert np.array_equal(pruned.codebook.values, expected.values)
+        assert pruned.codebook.frequency_fingerprint == expected.frequency_fingerprint
 
     def test_finetune_freezes_mask(self, toy_files, capsys, tmp_path):
         out = str(tmp_path / "tuned.shvr")
@@ -596,6 +592,17 @@ class TestErrorPaths:
         assert code == 2
         assert "--data needs --vocab" in stderr
 
+    def test_prune_codebook_padding_without_data_is_exit_two(self, toy_files, capsys, tmp_path):
+        code, stdout, stderr = run(
+            capsys,
+            "prune", "--model", toy_files["model"], "--scores", toy_files["scores"],
+            "--vocab", toy_files["vocab"], "--sparsity", "0.5", "--padding", "codebook",
+            "--out", str(tmp_path / "p.shvr"),
+        )
+        assert code == 2
+        assert stderr.count("error:") == 1 and "--padding codebook needs --data" in stderr
+        assert stdout == "" and list(tmp_path.iterdir()) == []
+
     def test_train_without_schema_or_vocab_is_exit_two(self, toy_files, capsys, tmp_path):
         code, _, stderr = run(
             capsys,
@@ -666,29 +673,16 @@ class TestErrorPaths:
         assert code == 1
         assert "vocabulary does not match this checkpoint" in stderr
 
-    @pytest.mark.parametrize(
-        "case, message",
-        [
-            ("codebook_padding_without_codebook", "codebook padding needs a codebook"),
-            ("compare_shape_mismatch", "different shapes"),
-        ],
-    )
+    @pytest.mark.parametrize("case, message", [("compare_shape_mismatch", "different shapes")])
     def test_unusable_inputs_are_exit_one(self, toy_files, capsys, tmp_path, case, message):
-        if case == "codebook_padding_without_codebook":
-            argv = [
-                "prune", "--model", toy_files["model"], "--scores", toy_files["scores"],
-                "--sparsity", "0.5", "--padding", "codebook",
-                "--out", str(tmp_path / "p.shvr"),
-            ]
-        else:
-            other = str(tmp_path / "other.shvr")
-            sp.AttributionScores(np.zeros((2, 2)), sp.MAGNITUDE).save(other)
-            argv = [
-                "oracle", "--model", toy_files["model"], "--vocab", toy_files["vocab"],
-                "--data", toy_files["data"], "--out", str(tmp_path / "exact.shvr"),
-                "--compare", other,
-            ]
-        code, _, stderr = run(capsys, *argv)
+        other = str(tmp_path / "other.shvr")
+        sp.AttributionScores(np.zeros((2, 2)), sp.MAGNITUDE).save(other)
+        code, _, stderr = run(
+            capsys,
+            "oracle", "--model", toy_files["model"], "--vocab", toy_files["vocab"],
+            "--data", toy_files["data"], "--out", str(tmp_path / "exact.shvr"),
+            "--compare", other,
+        )
         assert code == 1
         assert message in stderr
 
@@ -892,6 +886,44 @@ def _scores_file(files, n=7, nan=False):
     return ser.seal(body[:1] + struct.pack("<Q", n) + body[9:])
 
 
+def _pruned_codebook(files):
+    """The toy model pruned to t = 0.5 with codebook padding."""
+    vocab = sp.Vocabulary.load(files["vocab"])
+    model = sp.load_model(files["model"])
+    dataset = sp.encode_rows(sp.read_csv_rows(files["data"]), vocab)
+    codebook = sp.compute_codebook(model, dataset)
+    scores = sp.AttributionScores.load(files["scores"])
+    return sp.prune(model, scores, 0.5, sp.CODEBOOK, codebook, dataset.frequencies)
+
+
+def _with_section(blob, tag, payload):
+    """blob with one more section appended to its body, CRC recomputed."""
+    w = ser.ByteWriter()
+    w.section(tag, payload)
+    return ser.seal(blob[ser.BODY_START : -4] + w.getvalue())
+
+
+def _grow_last_section(blob, length, extra):
+    """blob with extra appended to the payload of its last section, which
+    is length bytes long, the section's length and the CRC rewritten."""
+    body = blob[ser.BODY_START : -4]
+    at = len(body) - length - 8
+    return ser.seal(body[:at] + struct.pack("<Q", length + len(extra)) + body[at + 8 :] + extra)
+
+
+def _duplicated_codebook(files):
+    model = sp.load_model(files["model"])
+    blob = model_to_bytes(dataclasses.replace(model, codebook=sp.Codebook(np.zeros((3, 3)))))
+    second = codebook_section_payload(sp.Codebook(np.ones((3, 3))))
+    return _with_section(blob, ser.SECTION_CODEBOOK, second)
+
+
+def _codebook_trailing_bytes(files):
+    pruned = _pruned_codebook(files)
+    length = len(codebook_section_payload(pruned.codebook))
+    return _grow_last_section(pruned.to_bytes(), length, b"\0")
+
+
 MALFORMED = {
     "deepfm_without_layers": (sp.load_model, lambda files: _model_file(layers=()), "MLP layer"),
     "fm_with_layers": (sp.load_model, lambda files: _model_file(kind=sp.FM), "MLP layer"),
@@ -948,6 +980,24 @@ MALFORMED = {
     "non_finite_score": (
         sp.AttributionScores.load, lambda files: _scores_file(files, nan=True), "non-finite"
     ),
+    "duplicated_scores_section": (
+        sp.AttributionScores.load,
+        lambda files: _with_section(_scores_file(files), ser.SECTION_SCORES, bytes(8 * 7 * 3)),
+        "appears twice",
+    ),
+    "duplicated_codebook_section": (sp.load_model, _duplicated_codebook, "appears twice"),
+    "metadata_trailing_bytes": (
+        # the metadata section is last: method u8, seed, passes, count u64, fingerprint u32
+        sp.AttributionScores.load,
+        lambda files: _grow_last_section(_scores_file(files), 1 + 3 * 8 + 4, b"\0"),
+        "trailing bytes",
+    ),
+    "pruned_codebook_trailing_bytes": (sp.load_pruned, _codebook_trailing_bytes, "trailing bytes"),
+    "vocabulary_trailing_bytes": (
+        sp.Vocabulary.load,
+        lambda files: ser.seal(Path(files["vocab"]).read_bytes()[ser.BODY_START : -4] + b"\0"),
+        "trailing bytes",
+    ),
 }
 
 
@@ -970,6 +1020,9 @@ class TestMalformedArtifacts:
         if load == sp.AttributionScores.load:
             argv = ["prune", "--model", toy_files["model"], "--scores", str(path),
                     "--sparsity", "0.5", "--out", str(tmp_path / "p.shvr")]
+        elif load == sp.Vocabulary.load:
+            argv = ["eval", "--model", toy_files["model"], "--vocab", str(path),
+                    "--data", toy_files["data"]]
         else:
             argv = ["eval", "--model", str(path), "--vocab", toy_files["vocab"],
                     "--data", toy_files["data"]]
@@ -982,10 +1035,10 @@ class TestMalformedArtifacts:
 
 @pytest.fixture(scope="module")
 def fuzz_artifacts(toy_files):
-    """Name -> (loader, bytes) for seven small artifacts: the toy DeepFM
+    """Name -> (loader, bytes) for nine small artifacts: the toy DeepFM
     with and without a codebook section, an untrained FM, the zero-width
-    DeepFM of ZERO_WIDTH, the Shapley and magnitude score files and the
-    vocabulary."""
+    DeepFM of ZERO_WIDTH, the toy model pruned with zero and with codebook
+    padding, the Shapley and magnitude score files and the vocabulary."""
     vocab = sp.Vocabulary.load(toy_files["vocab"])
     model = sp.load_model(toy_files["model"])
     dataset = sp.encode_rows(sp.read_csv_rows(toy_files["data"]), vocab)
@@ -997,6 +1050,8 @@ def fuzz_artifacts(toy_files):
         "deepfm_codebook": (model_from_bytes, model_to_bytes(stamped)),
         "fm": (model_from_bytes, model_to_bytes(fm)),
         "zero_width": (model_from_bytes, _model_file(layers=ZERO_WIDTH)),
+        "pruned_zero": (sp.PrunedModel.from_bytes, Path(toy_files["pruned"]).read_bytes()),
+        "pruned_codebook": (sp.PrunedModel.from_bytes, _pruned_codebook(toy_files).to_bytes()),
         "shapley": (sp.AttributionScores.from_bytes, files["scores"]),
         "magnitude": (sp.AttributionScores.from_bytes, files["magnitude"]),
         "vocab": (sp.Vocabulary.from_bytes, files["vocab"]),
@@ -1015,14 +1070,18 @@ def _mutate(body, op, at, data):
 
 
 class TestArtifactFuzz:
-    """A damaged dense-model, score or vocabulary file whose CRC is valid is
-    refused with a CheckpointError and nothing else. A model file that does
-    load can be walked: its one walk over the first id of every field ends
-    in losses or a NonFiniteError, never a crash."""
+    """A damaged dense-model, pruned-model, score or vocabulary file whose
+    CRC is valid is refused with a CheckpointError and nothing else. A dense
+    or pruned model file that does load can be walked: its one walk over the
+    first id of every field ends in losses or a NonFiniteError, never a
+    crash."""
 
     @given(
         name=st.sampled_from(
-            ["deepfm", "deepfm_codebook", "fm", "zero_width", "shapley", "magnitude", "vocab"]
+            [
+                "deepfm", "deepfm_codebook", "fm", "zero_width", "pruned_zero",
+                "pruned_codebook", "shapley", "magnitude", "vocab",
+            ]
         ),
         op=st.sampled_from(["flip", "cut", "insert"]),
         at=st.integers(0, 2**16),
@@ -1037,6 +1096,9 @@ class TestArtifactFuzz:
             loaded = load(damaged)
         except CheckpointError:
             return
+        if isinstance(loaded, sp.PrunedModel):
+            table = sp.EmbeddingTable(loaded.effective_values(), loaded.offsets)
+            loaded = sp.Model(table, loaded.backbone)
         if isinstance(loaded, sp.Model):
             ids = loaded.embedding.offsets[None, :-1]
             md = ids.shape[1] * loaded.embedding.d

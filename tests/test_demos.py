@@ -1,10 +1,13 @@
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from shapprune.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -39,3 +42,17 @@ def test_readme_library_snippet_runs(tmp_path):
     result = run_python(["-c", blocks[0]], tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("EvalReport(logloss=")
+
+
+def test_readme_command_line_runs(tmp_path, monkeypatch, capsys):
+    """Every shapprune line of the README's command-line session, its
+    backslash continuations joined, runs in order and exits 0."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```", section, re.MULTILINE | re.DOTALL).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    assert lines and all(line.startswith("shapprune ") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code = main(shlex.split(line)[1:])
+        assert code == 0, (line, capsys.readouterr().err)

@@ -277,7 +277,8 @@ class TestTraining:
                                 batch_size=16, seed=5)
         for kwargs in ({}, dict(mask=sp.PruneMask.from_dense(flags), padding=codebook)):
             tuned = sp.train(ds, config, init=init, **kwargs)
-            assert tuned.vocab is init.vocab and tuned.codebook is init.codebook
+            # init's codebook is a mean of init's table, so it is not carried
+            assert tuned.vocab is init.vocab and tuned.codebook is None
             assert [a.tobytes() for a in arrays(init)] == before
             written = [tuned.embedding.values, tuned.backbone.linear,
                        *(a for pair in tuned.backbone.layers for a in pair)]
