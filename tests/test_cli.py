@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 import os
-import shutil
 import struct
 import subprocess
 import sys
