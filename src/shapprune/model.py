@@ -250,27 +250,35 @@ def log_loss(prediction, label):
     return float(out) if out.ndim == 0 else out
 
 
-def _row_sums(ids: np.ndarray, n: int, parts: np.ndarray) -> tuple:
-    """The sorted distinct rows (U,) of an id array over n table rows, and
-    the sums (U, ...) of parts (K, ...), part k going to the row of the k-th
-    id in ravelled order. Each row adds its parts in order of k starting
-    from 0.0, so the sums are bitwise an in-order scatter-add into zeros,
-    signed zeros included; np.bincount does it several times faster."""
+def _row_sums(ids: np.ndarray, n: int, *parts: np.ndarray) -> tuple:
+    """The sorted distinct rows (U,) of an id array over n table rows, then
+    for each of parts, shaped (K,) or (K, w), its sums (U,) or (U, w): part
+    k goes to the row of the k-th id in ravelled order. Each row adds its
+    parts in order of k starting from 0.0, so the sums are bitwise an
+    in-order scatter-add into zeros, signed zeros included; np.bincount does
+    it several times faster. Finding the rows costs two n-entry arrays,
+    which every part shares."""
     flat = ids.ravel()
     flag = np.zeros(n, bool)
     flag[flat] = True
     rows = np.flatnonzero(flag)
     where = np.empty(n, np.intp)
     where[rows] = np.arange(rows.shape[0])
-    width = math.prod(parts.shape[1:])
-    bins = (where[flat][:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(bins, weights=parts.ravel(), minlength=rows.shape[0] * width)
-    return rows, sums.reshape(rows.shape + parts.shape[1:])
+    index = where[flat]
+    sums = [rows]
+    for part in parts:
+        width = math.prod(part.shape[1:])
+        bins = np.add.outer(index * width, np.arange(width)).ravel() if width > 1 else index
+        total = np.bincount(bins, weights=part.ravel(), minlength=rows.shape[0] * width)
+        sums.append(total.reshape(rows.shape + part.shape[1:]))
+    return tuple(sums)
 
 
 def _batch_gradients(values, backbone, ids, labels, scale=None):
-    """Mean loss and summed-then-scaled gradients for one mini-batch, in the
-    layouts train steps: (loss, rows, row_grad, head_grad).
+    """Predicted probabilities and summed-then-scaled gradients for one
+    mini-batch, in the layouts train steps: (p, rows, row_grad, head_grad).
+    p (B,) is the sigmoid of the scores, unclamped; the batch's loss is
+    log_loss(p, labels), which train computes only when it logs it.
 
     Only the embedding and linear rows the batch touches can have a nonzero
     gradient, so those come back row-sparse: rows are the sorted distinct
@@ -293,12 +301,7 @@ def _batch_gradients(values, backbone, ids, labels, scale=None):
     z, total = _forward(backbone, ids, emb, acts)
 
     p = _sigmoid(z)
-    y = labels.astype(np.float64)
-    loss = float(np.mean(log_loss(p, y)))
-    dz = scale * (p - y)
-
-    demb = total[:, None, :] - emb
-    demb *= dz[:, None, None]
+    dz = scale * (p - labels)
 
     head_grad = np.empty(1 + sum(W.size + b.size for W, b in backbone.layers))
     head_grad[0] = dz.sum()
@@ -311,14 +314,21 @@ def _batch_gradients(values, backbone, ids, labels, scale=None):
         np.matmul(da.T, h_in, out=gW)
         da.sum(axis=0, out=gb)
         dh = da @ W
+
+    # the first layer's weight gradient has read emb, so the embedding
+    # gradient (total - emb) * dz (+ dh) overwrites it
+    demb = np.subtract(total[:, None, :], emb, out=emb)
+    demb *= dz[:, None, None]
     if backbone.kind == DEEPFM:
         demb += dh.reshape(B, m, d)
-
-    # each id's embedding gradient, then its linear weight's (dz); the
-    # arithmetic above ran about twice as slow on strided views of this buffer
-    parts = np.concatenate((demb, np.broadcast_to(dz[:, None, None], (B, m, 1))), axis=2)
-    rows, row_grad = _row_sums(ids, values.shape[0], parts.reshape(-1, d + 1))
-    return loss, rows, row_grad, head_grad
+    # each id's embedding gradient, and its linear weight's (dz)
+    rows, grad_emb, grad_linear = _row_sums(
+        ids, values.shape[0], demb.reshape(-1, d), np.repeat(dz, m)
+    )
+    row_grad = np.empty((rows.shape[0], d + 1))
+    row_grad[:, :d] = grad_emb
+    row_grad[:, d] = grad_linear
+    return p, rows, row_grad, head_grad
 
 
 def _views(flat: np.ndarray, layers) -> list:
@@ -335,16 +345,20 @@ def _adam_delta(m1, m2, g, step: int, learning_rate: float) -> np.ndarray:
     """One Adam update of the moments m1 and m2 with the gradient g, in
     place, and the step the parameters move by, in a new array:
     learning_rate * (m1 / c1) / (sqrt(m2 / c2) + ADAM_EPS), where c1 and c2
-    are the bias corrections of the given step count."""
+    are the bias corrections of the given step count. g is overwritten: its
+    buffer holds the temporaries."""
+    delta = np.multiply(g, 1.0 - BETA1)
     m1 *= BETA1
-    m1 += (1.0 - BETA1) * g
+    m1 += delta
+    g *= g
+    g *= 1.0 - BETA2
     m2 *= BETA2
-    m2 += (1.0 - BETA2) * (g * g)
-    delta = np.divide(m1, 1.0 - BETA1 ** step)
-    delta *= learning_rate
-    root = np.divide(m2, 1.0 - BETA2 ** step)
+    m2 += g
+    root = np.divide(m2, 1.0 - BETA2 ** step, out=g)
     np.sqrt(root, out=root)
     root += ADAM_EPS
+    np.divide(m1, 1.0 - BETA1 ** step, out=delta)
+    delta *= learning_rate
     delta /= root
     return delta
 
@@ -366,8 +380,11 @@ def train(
     step count. Every other row keeps its parameters and moments bit for
     bit. The bias and the MLP, one flat vector that the returned model's
     layers are views of, get dense Adam. Beyond the parameters, training
-    holds the two moments, about two tables, and per step only arrays the
-    size of the batch.
+    holds the two moments, about two tables. Per step it allocates arrays
+    the size of the batch and, to find the touched rows, two n-entry index
+    arrays (a bool flag and an intp position per table row; see _row_sums).
+    The loss is computed only for log_fn, once per batch; divergence is a
+    non-finite score, which raises TrainingDiverged.
 
     With a mask, the masked embedding coordinates are pinned to their padding
     values (zero or the codebook row) before the first step and their
@@ -417,14 +434,17 @@ def train(
         epoch_loss = 0.0
         for batch_index, start in enumerate(range(0, count, config.batch_size)):
             take = order[start : start + config.batch_size]
+            labels = dataset.labels[take]
             try:
-                loss, rows, row_grad, head_grad = _batch_gradients(
-                    values, backbone, dataset.ids[take], dataset.labels[take]
+                p, rows, row_grad, head_grad = _batch_gradients(
+                    values, backbone, dataset.ids[take], labels
                 )
             except NonFiniteError:
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch} batch {batch_index}"
                 ) from None
+            if log_fn is not None:
+                epoch_loss += float(np.mean(log_loss(p, labels))) * take.shape[0]
             if flags is not None:
                 row_grad[:, :d][flags[rows]] = 0.0
             step += 1
@@ -435,10 +455,11 @@ def train(
             part = values.take(rows, 0)
             part -= delta[:, :d]
             values[rows] = part
-            linear[rows] -= delta[:, d]
+            part = linear.take(rows)
+            part -= delta[:, d]
+            linear[rows] = part
             head -= _adam_delta(head_m1, head_m2, head_grad, step, config.learning_rate)
             backbone.bias = float(head[0])
-            epoch_loss += loss * take.shape[0]
         if log_fn is not None:
             log_fn(epoch, epoch_loss / count)
     return model

@@ -272,15 +272,15 @@ def full_removal_jumps(model, ids, labels):
 
 
 def dense_batch_gradients(values, backbone, ids, labels):
-    """One mini-batch's loss, its (n, d+1) embedding-then-linear gradient
-    scattered into a zero table of full size, and its flat head gradient
-    [bias, W1, b1, ...]."""
+    """One mini-batch's mean loss, its (n, d+1) embedding-then-linear
+    gradient scattered into a zero table of full size, and its flat head
+    gradient [bias, W1, b1, ...]."""
     from shapprune.model import _batch_gradients
 
-    loss, rows, row_grad, head_grad = _batch_gradients(values, backbone, ids, labels)
+    p, rows, row_grad, head_grad = _batch_gradients(values, backbone, ids, labels)
     grad = np.zeros((values.shape[0], values.shape[1] + 1))
     grad[rows] = row_grad
-    return loss, grad, head_grad
+    return float(np.mean(sp.log_loss(p, labels))), grad, head_grad
 
 
 def flat_gradient(grad, head_grad):
@@ -290,42 +290,50 @@ def flat_gradient(grad, head_grad):
 
 
 def reference_batch_gradients(values, backbone, ids, labels, scale=None):
-    """The mini-batch gradient as it was computed before it came back in
-    train's layouts, kept word for word as a bitwise oracle: (loss, rows,
-    embedding (U, d), linear (U,), bias, [(dW, db)] per layer). The
-    touched rows and their in-order sums are separate steps here
-    (_reference_touched_rows, _reference_row_sums), the linear gradient is
-    its own scatter-add of np.repeat(dz, m), and the layer gradients are
-    separate arrays gathered from the output layer back."""
-    from shapprune.model import DEEPFM, _forward, _sigmoid, log_loss
-
+    """The mini-batch gradient from textbook formulas, sharing no code with
+    the library's forward or backward pass, as a bitwise oracle: (p, rows,
+    embedding (U, d), linear (U,), bias, [(dW, db)] per layer). The score
+    is bias + sum_j w[i_j] + (|sum_j e_j|^2 - sum_j |e_j|^2) / 2, plus for
+    a DeepFM the output of the ReLU MLP on the concatenated e_j; each sum
+    runs in numpy's order, the same as the library's. The touched rows and
+    their in-order sums are separate steps here (_reference_touched_rows,
+    _reference_row_sums), the linear gradient is its own scatter-add of
+    np.repeat(dz, m), and the layer gradients are separate arrays gathered
+    from the output layer back."""
     B, m = ids.shape
     d = values.shape[1]
     if scale is None:
         scale = 1.0 / B
-    emb = values.take(ids, 0)
-    acts = []
-    z, total = _forward(backbone, ids, emb, acts)
+    emb = values[ids]
+    column_sums = emb.sum(axis=1)
+    square_of_sum = (column_sums**2).sum(axis=1)
+    sum_of_squares = (emb**2).sum(axis=(1, 2))
+    z = backbone.bias + backbone.linear[ids].sum(axis=1) + 0.5 * (square_of_sum - sum_of_squares)
+    inputs, pres = [], []
+    if backbone.kind == sp.DEEPFM:
+        a = emb.reshape(B, m * d)
+        for k, (W, b) in enumerate(backbone.layers):
+            inputs.append(a)
+            pres.append(a @ W.T + b)
+            a = np.maximum(pres[-1], 0.0) if k < len(backbone.layers) - 1 else pres[-1]
+        z = z + a[:, 0]
 
-    p = _sigmoid(z)
-    y = labels.astype(np.float64)
-    loss = float(np.mean(log_loss(p, y)))
-    dz = scale * (p - y)
+    p = 1.0 / (1.0 + np.exp(-z))
+    dz = scale * (p - labels.astype(np.float64))
 
     grad_bias = float(dz.sum())
     rows, where = _reference_touched_rows(ids, values.shape[0])
     grad_linear = _reference_row_sums(where, rows.shape[0], np.repeat(dz, m))
 
-    demb = dz[:, None, None] * (total[:, None, :] - emb)
+    demb = dz[:, None, None] * (column_sums[:, None, :] - emb)
 
     grad_layers = []
-    if backbone.kind == DEEPFM:
+    if backbone.kind == sp.DEEPFM:
         W, _ = backbone.layers[-1]
-        h_last = acts[-1][0]
         dout = dz[:, None]
-        grad_layers.append((dout.T @ h_last, dout.sum(axis=0)))
+        grad_layers.append((dout.T @ inputs[-1], dout.sum(axis=0)))
         dh = dout @ W
-        for (h_in, pre), (W, _) in zip(acts[-2::-1], backbone.layers[-2::-1]):
+        for h_in, pre, (W, _) in zip(inputs[-2::-1], pres[-2::-1], backbone.layers[-2::-1]):
             da = dh * (pre > 0)
             grad_layers.append((da.T @ h_in, da.sum(axis=0)))
             dh = da @ W
@@ -333,7 +341,7 @@ def reference_batch_gradients(values, backbone, ids, labels, scale=None):
         demb = demb + dh.reshape(B, m, d)
 
     grad_block = _reference_row_sums(where, rows.shape[0], demb.reshape(-1, d))
-    return loss, rows, grad_block, grad_linear, grad_bias, grad_layers
+    return p, rows, grad_block, grad_linear, grad_bias, grad_layers
 
 
 def _reference_touched_rows(ids, n):

@@ -1090,19 +1090,112 @@ class TestArtifactFuzz:
     @settings(max_examples=400, deadline=None)
     def test_damage_is_a_checkpoint_error(self, fuzz_artifacts, name, op, at, data):
         load, blob = fuzz_artifacts[name]
-        damaged = ser.seal(_mutate(blob[ser.BODY_START : -4], op, at, data))
-        try:
-            loaded = load(damaged)
-        except CheckpointError:
-            return
-        if isinstance(loaded, sp.PrunedModel):
-            table = sp.EmbeddingTable(loaded.effective_values(), loaded.offsets)
-            loaded = sp.Model(table, loaded.backbone)
-        if isinstance(loaded, sp.Model):
-            ids = loaded.embedding.offsets[None, :-1]
-            md = ids.shape[1] * loaded.embedding.d
-            with np.errstate(all="ignore"):
-                try:
-                    _walk_losses(loaded, ids, np.ones(1), np.arange(md)[None])
-                except NonFiniteError:
-                    pass
+        _load_and_walk(load, ser.seal(_mutate(blob[ser.BODY_START : -4], op, at, data)))
+
+
+def _load_and_walk(load, blob):
+    """Load blob, which may raise CheckpointError and nothing else; walk a
+    dense or pruned model that loads once over the first id of every field,
+    which may end in a NonFiniteError and nothing else."""
+    try:
+        loaded = load(blob)
+    except CheckpointError:
+        return
+    if isinstance(loaded, sp.PrunedModel):
+        table = sp.EmbeddingTable(loaded.effective_values(), loaded.offsets)
+        loaded = sp.Model(table, loaded.backbone)
+    if isinstance(loaded, sp.Model):
+        ids = loaded.embedding.offsets[None, :-1]
+        md = ids.shape[1] * loaded.embedding.d
+        with np.errstate(all="ignore"):
+            try:
+                _walk_losses(loaded, ids, np.ones(1), np.arange(md)[None])
+            except NonFiniteError:
+                pass
+
+
+def _section_frames(body, start):
+    """(payload start, payload end) of each framed section of body, whose
+    sections begin at byte start and run to its end."""
+    frames = []
+    while start < len(body):
+        length = struct.unpack_from("<Q", body, start + 1)[0]  # after the tag byte
+        frames.append((start + 9, start + 9 + length))
+        start += 9 + length
+    assert start == len(body)
+    return frames
+
+
+def _pruned_sections_start(blob):
+    """Body offset of a pruned file's first section: after its kind tag,
+    head, padding code, sparsity and backbone."""
+    pruned = sp.PrunedModel.from_bytes(blob)
+    w = ser.ByteWriter()
+    write_head(w, pruned.backbone.kind, pruned.offsets, pruned.n, pruned.dim)
+    write_backbone(w, pruned.backbone)
+    return 1 + len(w.getvalue()) + 1 + 8
+
+
+@pytest.fixture(scope="module")
+def sectioned_artifacts(fuzz_artifacts):
+    """Name -> (loader, body, section frames) for the fuzz artifacts that
+    carry sections. The dense DeepFM and FM, the zero-width DeepFM and the
+    vocabulary carry none."""
+    starts = {
+        # the toy DeepFM's file is the stamped one's up to its codebook section
+        "deepfm_codebook": len(fuzz_artifacts["deepfm"][1]) - ser.BODY_START - 4,
+        "pruned_zero": _pruned_sections_start(fuzz_artifacts["pruned_zero"][1]),
+        "pruned_codebook": _pruned_sections_start(fuzz_artifacts["pruned_codebook"][1]),
+        "shapley": 1 + 8 + 8,  # kind tag, n, d
+        "magnitude": 1 + 8 + 8,
+    }
+    out = {}
+    for name, start in starts.items():
+        load, blob = fuzz_artifacts[name]
+        body = blob[ser.BODY_START : -4]
+        out[name] = (load, body, _section_frames(body, start))
+    return out
+
+
+class TestCraftedSectionFuzz:
+    """A file whose sections stay well framed but one of whose payloads is
+    replaced, after a kept prefix of it, by random bytes (as many as were
+    cut, or any number), with its length and the CRC rewritten: the load
+    raises CheckpointError or gives a model that walks, as in
+    TestArtifactFuzz."""
+
+    def test_frames_cover_every_section(self, sectioned_artifacts):
+        tags = {
+            name: [body[begin - 9] for begin, _ in frames]
+            for name, (_, body, frames) in sectioned_artifacts.items()
+        }
+        kept, codebook = ser.SECTION_KEPT, ser.SECTION_CODEBOOK
+        scores = [ser.SECTION_SCORES, ser.SECTION_METADATA]
+        assert tags == {
+            "deepfm_codebook": [codebook],
+            "pruned_zero": [kept],
+            "pruned_codebook": [kept, codebook],
+            "shapley": scores,
+            "magnitude": scores,
+        }
+
+    @given(
+        name=st.sampled_from(
+            ["deepfm_codebook", "pruned_zero", "pruned_codebook", "shapley", "magnitude"]
+        ),
+        section=st.integers(0, 1),
+        keep=st.integers(0, 2**16),
+        size=st.one_of(st.none(), st.integers(0, 256)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_random_payload_is_a_checkpoint_error(
+        self, sectioned_artifacts, name, section, keep, size, seed
+    ):
+        load, body, frames = sectioned_artifacts[name]
+        begin, end = frames[section % len(frames)]
+        keep = begin + keep % (end - begin + 1)
+        tail = np.random.default_rng(seed).bytes(end - keep if size is None else size)
+        payload = body[begin:keep] + tail
+        crafted = body[: begin - 8] + struct.pack("<Q", len(payload)) + payload + body[end:]
+        _load_and_walk(load, ser.seal(crafted))

@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import shapprune as sp
-from shapprune.model import _batch_gradients, _row_sums
+from shapprune.model import _batch_gradients, _row_sums, model_to_bytes
 from shapprune.serialization import CheckpointError
 
 from helpers import (
@@ -153,9 +154,10 @@ class TestBackward:
 
 
 class TestGradientLayout:
-    """_batch_gradients gives the bits of the gradient as it was computed
-    before it came back in train's layouts: row_grad is [embedding | linear]
-    per touched row and head_grad is [bias, W1.ravel(), b1, ...]."""
+    """_batch_gradients gives the bits that reference_batch_gradients, an
+    inline textbook forward and backward pass, computes: the same p, row_grad
+    as [embedding | linear] per touched row and head_grad as [bias,
+    W1.ravel(), b1, ...]."""
 
     @pytest.mark.parametrize(
         "kind, hidden",
@@ -172,11 +174,11 @@ class TestGradientLayout:
         ids[1] = ids[0]  # every row of instance 0 repeats in the batch
         ids, labels = ids[:batch], labels[:batch]
         values, backbone = model.embedding.values, model.backbone
-        loss, rows, row_grad, head_grad = _batch_gradients(values, backbone, ids, labels, scale)
-        want_loss, want_rows, embedding, linear, bias, layers = reference_batch_gradients(
+        p, rows, row_grad, head_grad = _batch_gradients(values, backbone, ids, labels, scale)
+        want_p, want_rows, embedding, linear, bias, layers = reference_batch_gradients(
             values, backbone, ids, labels, scale
         )
-        assert loss == want_loss
+        assert p.tobytes() == want_p.tobytes()
         assert rows.tolist() == want_rows.tolist()
         assert row_grad.tobytes() == np.column_stack((embedding, linear)).tobytes()
         want_head = np.concatenate([[bias]] + [g.ravel() for pair in layers for g in pair])
@@ -445,6 +447,12 @@ class TestSparseAdam:
         assert rows.tolist() == sorted(set(ids.ravel().tolist()))
         assert block.tobytes() == dense[rows].tobytes()
         assert not np.signbit(block[rows.tolist().index(8)]).any()
+        # parts summed in one call share the rows and sum as if alone
+        other = rng.normal(size=ids.size)
+        together = _row_sums(ids, n, parts, other)
+        assert together[0].tolist() == rows.tolist()
+        assert together[1].tobytes() == block.tobytes()
+        assert together[2].tobytes() == _row_sums(ids, n, other)[1].tobytes()
 
     def test_training_allocates_no_table_sized_temporaries(self):
         # Budget in table sizes: the parameters and two (n, d+1) Adam
@@ -461,6 +469,52 @@ class TestSparseAdam:
         for kwargs in ({}, fine_tune):
             peak = traced_peak(lambda: sp.train(ds, config, **kwargs))
             assert peak < 4.0 * table_bytes, f"peak {peak / table_bytes:.2f} table sizes"
+
+
+class TestPinnedCheckpoints:
+    """Trained checkpoints pinned bit for bit, so a change to the training
+    step that moves any trained bit fails here even where a reference moves
+    with it. The digests were recorded on x86_64 with numpy 2.4; exp, log
+    and sqrt paths that round differently on another platform would move
+    them. The MLP input is 12 wide, well below the inner dimensions whose
+    GEMMs round differently with the BLAS thread count."""
+
+    # 203 instances in batches of 16 end on a partial batch of 11; ids come
+    # from the first 10 of each field's 12 rows, so rows repeat within every
+    # batch and 2 rows per field are never touched
+    def corpus(self):
+        return small_table_corpus(21, n_fields=4, field_size=12, count=203, used=10)
+
+    def config(self, kind):
+        return sp.TrainConfig(backbone=kind, dim=3, hidden=(8, 4), epochs=3, batch_size=16,
+                              learning_rate=2e-2, seed=9)
+
+    def digest(self, model):
+        return hashlib.sha256(model_to_bytes(model)).hexdigest()
+
+    def test_fm(self):
+        model = sp.train(self.corpus(), self.config(sp.FM))
+        assert self.digest(model) == (
+            "ac46277a7dfe538e12b15be86100f45c811b522fa3f7edea90f06b9c7aa4c90b"
+        )
+
+    def test_deepfm(self):
+        model = sp.train(self.corpus(), self.config(sp.DEEPFM))
+        assert self.digest(model) == (
+            "91052a0aa7058bbc9d311618ddf34f6883acfa06e65f239ecf7e81076fcaa835"
+        )
+
+    def test_masked_fine_tune_with_codebook_padding(self):
+        ds, config = self.corpus(), self.config(sp.DEEPFM)
+        base = sp.train(ds, config)
+        flags = np.random.default_rng(4).random(base.embedding.values.shape) < 0.4
+        mask = sp.PruneMask.from_dense(flags)
+        tuned = sp.train(ds, dataclasses.replace(config, epochs=2), init=base, mask=mask,
+                         padding=sp.compute_codebook(base, ds))
+        assert self.digest(tuned) == (
+            "1cf6bd54de084af8f33779ff83b218d7817cca866f73cbe7ee7db59d1ad0563e"
+        )
+
 
 class TestPruneMask:
     def test_dense_round_trip(self):
