@@ -22,12 +22,14 @@ m * d alone; results can move in the last bits if the block or step-chunk
 size changes, since a block's sums are grouped by block and a DeepFM's GEMM
 rows can round differently with the number of rows multiplied together. A
 block draws its orders in a few whole-array integer operations and one
-argsort. A walk is not re-scored from scratch at each step: removing
-value e from embedding column c lowers the pairwise term by e * (S_c - e),
-S_c being that column's sum over the coordinates still present, and a
-DeepFM's first layer is linear in the flat embedding, so its pre-activations
-drop by the removed value times its weight column. Only the later MLP layers
-run per step. The scores only rank coordinates, and their noise floor is the
+argsort, and gathers the value each step removes once. A walk is not
+re-scored from scratch at each step: removing value e from embedding column
+c lowers the pairwise term by e * (S_c - e), S_c being that column's sum
+over the coordinates still present, which one stable sort of the removal
+order by column number turns into cumulative sums; and a DeepFM's first
+layer is linear in the flat embedding, so its pre-activations drop by the
+removed value times its weight column. Only the later MLP layers run per
+step. The scores only rank coordinates, and their noise floor is the
 Monte Carlo error, so a DeepFM walk runs its interior steps 1..m * d - 1
 (the first-layer shifts and the MLP) in float32, a chunk of consecutive
 steps at a time in one 512 KiB buffer that stays in L2 cache; a chunk hands
@@ -36,8 +38,8 @@ Steps 0 and m * d, the pairwise and linear terms, the losses and the sums
 stay float64; the endpoints are computed directly, so each walk's marginals
 still add up to its full-removal loss jump. An FM walk is all float64. A
 block sums its marginals per touched row, and the blocks are merged into one
-running table in block order, so memory holds the table plus one block of
-marginals however many passes run.
+running table in block order. A block's visit numbers are made when it
+runs, so memory is the table plus one block however many passes run.
 Every visit evaluates the payoff at its m * d + 1 steps; the returned
 metadata's forward_count tallies these payoff evaluations.
 
@@ -227,26 +229,23 @@ def _prefix_sums(rows: np.ndarray, carry=None) -> None:
         rows[k] += rows[k - 1]
 
 
-def _pair_walk(emb: np.ndarray, perms: np.ndarray) -> np.ndarray:
+def _pair_walk(emb: np.ndarray, gone: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """The pairwise term (B, md + 1) at every step of B removal walks of the
     (B, m, d) stack emb, column k of it with the first k coordinates of
-    perms[b] zeroed. Removing value e from column c lowers the term by
-    e * (S - e), S being the column's sum over the coordinates still present;
-    sorting each column's fields by removal step makes S - e its total minus
-    an inclusive cumulative sum."""
+    perms[b] zeroed, gone[b, k] the value removed at step k. Removing e from
+    column c lowers the term by e * (S - e), S being the column's sum over the
+    coordinates still present; a stable sort of perms by column lists each
+    column's steps in order, so S - e is its total minus a cumulative sum."""
     B, m, d = emb.shape
     md = m * d
     rows = np.arange(B)[:, None]
-    step = np.empty((B, md), np.int64)
-    step[rows, perms] = np.arange(md)
     pair0, total = _pairwise(emb)
-    step_by_col = step.reshape(B, m, d).transpose(0, 2, 1)
-    order = np.argsort(step_by_col, axis=-1)
-    values = np.take_along_axis(emb.transpose(0, 2, 1), order, axis=-1)
+    # a stable sort radix-sorts integers of 16 bits or less; int64 column
+    # numbers go to timsort, about 2x slower at md = 624
+    steps = np.argsort((perms % d).astype(np.min_scalar_type(d - 1)), axis=1, kind="stable")
+    values = np.take_along_axis(gone, steps, axis=1).reshape(B, d, m)
     drop = np.empty((B, md))
-    drop[rows, np.take_along_axis(step_by_col, order, axis=-1).reshape(B, md)] = (
-        values * (total[:, :, None] - np.cumsum(values, axis=-1))
-    ).reshape(B, md)
+    drop[rows, steps] = (values * (total[:, :, None] - np.cumsum(values, axis=-1))).reshape(B, md)
     pair = np.empty((B, md + 1))
     pair[:, 0] = pair0
     np.subtract(pair0[:, None], np.cumsum(drop, axis=1), out=pair[:, 1:])
@@ -266,7 +265,8 @@ def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.nd
     emb = model.embedding.values.take(ids, 0)
     B, m, d = emb.shape
     md = m * d
-    z = _pair_walk(emb, perms)
+    gone = np.take_along_axis(emb.reshape(B, md), perms, axis=1)  # removed at each step
+    z = _pair_walk(emb, gone, perms)
     z += _linear_term(backbone, ids)[:, None]
     if backbone.kind == DEEPFM:
         # The first layer is linear in the flat embedding: each removal
@@ -288,8 +288,7 @@ def _walk_losses(model: Model, ids: np.ndarray, labels: np.ndarray, perms: np.nd
         tail = _mlp_tail(backbone.layers, ends)
         z[:, 0] += tail[:B]
         z[:, md] += tail[B]
-        # the value removed at each step, step-major
-        gone = emb.reshape(B, md)[np.arange(B)[:, None], perms].T.astype(np.float32)
+        gone = gone.T.astype(np.float32)  # step-major
         span = max(1, _CHUNK_VALUES // (B * h1))
         work = np.empty(min(md - 1, span) * B * h1, np.float32)
         carry = None
@@ -352,7 +351,8 @@ def estimate_shapley(
     size = max(1, min(_BLOCK_VISITS, _WALK_ROWS // (md + 1)))
     # skipping untouched rows is exact: phi starts at +0.0, and no sum is -0.0
     phi = np.zeros((model.embedding.n, model.embedding.d))
-    for visits in np.split(np.arange(total_visits), range(size, total_visits, size)):
+    for start in range(0, total_visits, size):
+        visits = np.arange(start, min(start + size, total_visits))
         rows, sums = _run_block(model, dataset, seed, visits)
         phi[rows] += sums
     phi /= total_visits

@@ -115,13 +115,16 @@ def cmd_synth(args) -> int:
     sizes = args.tokens_per_field
     if len(sizes) == 1:
         sizes = sizes * args.fields
+    start = time.perf_counter()
     config = SyntheticConfig(args.fields, sizes, args.rows, args.seed)
     rows = synthetic_rows(config)
     write_csv_rows(args.out, rows)
     if args.schema_out:
         synthetic_schema(config).save(args.schema_out)
+    seconds = time.perf_counter() - start
     positives = sum(int(r[0]) for r in rows)
-    log(event="synth", rows=len(rows), fields=args.fields, positives=positives, out=args.out)
+    log(event="synth", rows=len(rows), fields=args.fields, positives=positives,
+        seconds=seconds, out=args.out)
     return 0
 
 
@@ -181,10 +184,7 @@ def cmd_train(args) -> int:
 def cmd_attribute(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     model = load_model(args.model, vocab)
-    report = {}
-    if args.method == MAGNITUDE:
-        scores = score_magnitude(model)
-    else:
+    if args.method != MAGNITUDE:
         if not args.data:
             print("error: --data is required for this scoring method", file=sys.stderr)
             return 2
@@ -192,18 +192,21 @@ def cmd_attribute(args) -> int:
         dataset = full.subsample(args.fraction, args.seed)  # refuses fractions outside (0, 1]
         if dataset is not full:
             log(event="subsample", fraction=args.fraction, rows=len(dataset))
-        if args.method == SHAPLEY:
-            start = time.perf_counter()
-            scores = estimate_shapley(model, dataset, passes=args.passes, seed=args.seed)
-            seconds = time.perf_counter() - start
-            report = dict(
-                seconds=seconds,
-                visits_per_s=scores.passes * len(dataset) / seconds,
-                forwards_per_s=scores.forward_count / seconds,
-                efficiency_gap=f"{efficiency_gap(model, dataset, scores):.3e}",
-            )
-        else:
-            scores = score_taylor(model, dataset)
+    start = time.perf_counter()
+    if args.method == SHAPLEY:
+        scores = estimate_shapley(model, dataset, passes=args.passes, seed=args.seed)
+    elif args.method == TAYLOR:
+        scores = score_taylor(model, dataset)
+    else:
+        scores = score_magnitude(model)
+    seconds = time.perf_counter() - start
+    report = dict(seconds=seconds)
+    if args.method == SHAPLEY:
+        report.update(
+            visits_per_s=scores.passes * len(dataset) / seconds,
+            forwards_per_s=scores.forward_count / seconds,
+            efficiency_gap=f"{efficiency_gap(model, dataset, scores):.3e}",
+        )
     scores.save(args.out)
     log(
         event="attribute",
@@ -300,9 +303,12 @@ def cmd_curve(args) -> int:
 def cmd_oracle(args) -> int:
     vocab, dataset = _load_inputs(args)
     model = load_model(args.model, vocab)
+    start = time.perf_counter()
     scores = exact_shapley_global(model, dataset)
+    seconds = time.perf_counter() - start
     scores.save(args.out)
-    log(event="oracle", forwards=scores.forward_count, out=args.out)
+    log(event="oracle", forwards=scores.forward_count, seconds=seconds,
+        forwards_per_s=scores.forward_count / seconds, out=args.out)
     if args.compare:
         other = AttributionScores.load(args.compare)
         if other.values.shape != scores.values.shape:

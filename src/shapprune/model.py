@@ -363,6 +363,13 @@ def _adam_delta(m1, m2, g, step: int, learning_rate: float) -> np.ndarray:
     return delta
 
 
+def _describe(kind: str, dim: int, hidden: tuple) -> str:
+    """A model's shape as train's config gives it: hidden sizes count for a
+    DeepFM alone."""
+    shape = f"{kind} dim={dim}"
+    return shape + f" hidden={','.join(map(str, hidden))}" if kind == DEEPFM else shape
+
+
 def train(
     dataset,
     config: TrainConfig,
@@ -393,11 +400,18 @@ def train(
     model is returned that shares init's vocabulary and owns copies of the
     arrays training writes. It carries no codebook, even when init does:
     init's codebook is a mean of init's table, not of the trained one.
+    An init whose backbone, dim or (for a DeepFM) hidden sizes differ from
+    config's is refused with ValueError.
     """
     if init is None:
         model = init_model(dataset.vocab, config)
     else:
         dataset.vocab.check_layout(init.embedding.n, init.embedding.offsets)
+        hidden = tuple(w.shape[0] for w, _ in init.backbone.layers[:-1])
+        have = _describe(init.backbone.kind, init.embedding.d, hidden)
+        want = _describe(config.backbone, config.dim, tuple(config.hidden))
+        if have != want:
+            raise ValueError(f"the model to train from is {have}, but the config describes {want}")
         # the MLP layers become views of a fresh flat vector below
         model = Model(
             EmbeddingTable(init.embedding.values.copy(), init.embedding.offsets),

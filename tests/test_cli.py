@@ -230,6 +230,62 @@ class TestPipeline:
         assert np.all(tuned.embedding.values[flags] == 0.0)
         assert not np.array_equal(tuned.embedding.values, pruned.effective_values())
 
+    @pytest.mark.parametrize(
+        "argv, event, rate",
+        [
+            ("synth --rows 50 --fields 2 --tokens-per-field 5 --out {out}", "synth", None),
+            ("train --data {data} --vocab {vocab} --epochs 1 --out {out}",
+             "train_done", "steps_per_s"),
+            ("attribute --model {model} --vocab {vocab} --data {data} --out {out}",
+             "attribute", "visits_per_s"),
+            ("attribute --model {model} --vocab {vocab} --data {data} --method taylor --out {out}",
+             "attribute", None),
+            ("attribute --model {model} --vocab {vocab} --method magnitude --out {out}",
+             "attribute", None),
+            ("prune --model {model} --scores {scores} --sparsity 0.5 --out {out}",
+             "prune", "coords_per_s"),
+            ("curve --model {model} --scores {scores} --vocab {vocab} --data {data} "
+             "--sparsities 0.5 --out {out}", "curve_done", "points_per_s"),
+            ("oracle --model {model} --vocab {vocab} --data {data} --out {out}",
+             "oracle", "forwards_per_s"),
+            ("eval --model {model} --vocab {vocab} --data {data}", "eval", "rows_per_s"),
+        ],
+        ids=["synth", "train", "shapley", "taylor", "magnitude", "prune", "curve", "oracle", "eval"],
+    )
+    def test_every_stage_closes_with_its_time(self, toy_files, capsys, tmp_path, argv, event, rate):
+        argv = argv.format(**toy_files, out=tmp_path / "out").split()
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        fields = dict(pair.split("=", 1) for pair in stdout.splitlines()[-1].split())
+        assert fields["event"] == event
+        assert float(fields["seconds"]) > 0.0
+        if rate is not None:
+            assert float(fields[rate]) > 0.0
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            ((), "fm dim=8"),
+            (("--backbone", "fm", "--dim", "3"), "fm dim=3"),
+            (("--backbone", "deepfm", "--dim", "4", "--hidden", "3,3"), "deepfm dim=4 hidden=3,3"),
+            (("--backbone", "deepfm", "--dim", "3", "--hidden", "3"), "deepfm dim=3 hidden=3"),
+            (("--backbone", "deepfm", "--dim", "3", "--hidden", "4,3"), "deepfm dim=3 hidden=4,3"),
+        ],
+        ids=["defaults", "backbone", "dim", "depth", "width"],
+    )
+    def test_finetune_refuses_a_config_that_differs(self, toy_files, capsys, tmp_path, flags, config):
+        # the pruned toy model is a DeepFM with d = 3 and hidden sizes (3, 3)
+        code, _, stderr = run(
+            capsys,
+            "train", "--data", toy_files["data"], "--vocab", toy_files["vocab"],
+            "--out", str(tmp_path / "tuned.shvr"), "--epochs", "1", *flags,
+            "--mask", toy_files["pruned"],
+        )
+        assert code == 1
+        assert stderr.count("error:") == 1
+        assert f"is deepfm dim=3 hidden=3,3, but the config describes {config}" in stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_oracle_compare_reports_mae(self, toy_files, capsys, tmp_path):
         out = str(tmp_path / "exact.shvr")
         code, stdout, _ = run(
@@ -287,8 +343,9 @@ class TestPipeline:
         assert stdout.splitlines()[:-1] == lines
         assert f"event=attribute method={method} " in stdout
         keys = {pair.split("=")[0] for pair in stdout.splitlines()[-1].split()}
-        timing = {"seconds", "visits_per_s", "forwards_per_s"}
-        assert timing <= keys if method == sp.SHAPLEY else not timing & keys
+        assert "seconds" in keys
+        rates = {"visits_per_s", "forwards_per_s"}
+        assert rates <= keys if method == sp.SHAPLEY else not rates & keys
         scores = sp.AttributionScores.load(out)
         assert scores.method == method
         assert scores.forward_count == forwards

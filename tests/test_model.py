@@ -261,6 +261,32 @@ class TestTraining:
         assert np.array_equal(start.embedding.values, snapshot)
         assert not np.array_equal(trained.embedding.values, snapshot)
 
+    @pytest.mark.parametrize(
+        "changes, config",
+        [
+            (dict(backbone=sp.FM), "fm dim=3"),
+            (dict(dim=2), "deepfm dim=2 hidden=3,3"),
+            (dict(hidden=(3,)), "deepfm dim=3 hidden=3"),
+            (dict(hidden=(3, 4)), "deepfm dim=3 hidden=3,4"),
+        ],
+        ids=["backbone", "dim", "depth", "width"],
+    )
+    def test_init_that_differs_from_the_config_is_refused(self, toy_corpus, toy_model, changes, config):
+        # toy_model is a DeepFM with d = 3 and hidden sizes (3, 3)
+        _, _, _, ds = toy_corpus
+        base = sp.TrainConfig(backbone=sp.DEEPFM, dim=3, hidden=(3, 3), epochs=1, batch_size=16)
+        message = f"is deepfm dim=3 hidden=3,3, but the config describes {config}$"
+        with pytest.raises(ValueError, match=message):
+            sp.train(ds, dataclasses.replace(base, **changes), init=toy_model)
+        sp.train(ds, base, init=toy_model)
+
+    def test_fm_init_ignores_the_config_hidden_sizes(self, toy_corpus):
+        # an FM has no MLP, so hidden sizes do not describe it
+        _, _, vocab, ds = toy_corpus
+        config = sp.TrainConfig(backbone=sp.FM, dim=2, hidden=(5,), epochs=1, batch_size=16)
+        start = sp.init_model(vocab, dataclasses.replace(config, hidden=(16, 16)))
+        sp.train(ds, config, init=start)
+
     def test_trained_copy_shares_vocab_and_leaves_init_bytes(self, toy_corpus, toy_model):
         _, _, _, ds = toy_corpus
         codebook = sp.compute_codebook(toy_model, ds)
