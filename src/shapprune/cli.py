@@ -147,9 +147,6 @@ def cmd_train(args) -> int:
             return 2
         schema = FieldSchema.load(args.schema)
         vocab = build_vocabulary(rows, schema, args.min_count)
-        vocab_out = args.vocab_out or f"{args.out}.vocab"
-        vocab.save(vocab_out)
-        log(event="vocabulary", features=vocab.n, fields=vocab.field_count, out=vocab_out)
     dataset = encode_rows(rows, vocab)
 
     init = mask = padding = None
@@ -170,6 +167,11 @@ def cmd_train(args) -> int:
     seconds = time.perf_counter() - start
     steps = config.epochs * math.ceil(len(dataset) / config.batch_size)
     save_model(model, args.out)
+    if not args.vocab:
+        # written with the model, so a run that fails leaves neither file
+        vocab_out = args.vocab_out or f"{args.out}.vocab"
+        vocab.save(vocab_out)
+        log(event="vocabulary", features=vocab.n, fields=vocab.field_count, out=vocab_out)
     report = evaluate(model, dataset)
     summary = {"event": "train_done", "train_logloss": report.logloss, "train_auc": report.auc}
     if args.val_data:

@@ -18,6 +18,8 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -35,6 +37,9 @@ MISSING_TOKEN = "<missing>"
 
 _KIND_CODES = {CATEGORICAL: 0, NUMERIC_BUCKETED: 1}
 _KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
+# label cells spelled as the writers spell them; any other cell goes through
+# _parse_label, the one label rule
+_PLAIN_LABELS = {"0": 0, "1": 1}
 
 
 class DataError(ValueError):
@@ -146,15 +151,26 @@ def _token_columns(raw_rows, schema: FieldSchema) -> tuple:
     before its label, so an error names the first malformed row."""
     m = schema.field_count
     rows = list(raw_rows)
-    labels = []
-    for row_number, row in enumerate(rows, 1):
-        _check_width(row, m, row_number)
-        labels.append(_parse_label(row[0], row_number))
     if not rows:
         raise DataError("empty dataset")
+    widths = np.fromiter(map(len, rows), np.intp, len(rows))
+    bad = np.flatnonzero(widths != m + 1)
+    first_bad = int(bad[0]) if bad.size else len(rows)
+    # every row before first_bad holds a label cell, so row[0] exists
+    cells = list(map(itemgetter(0), rows[:first_bad]))
+    labels = list(map(_PLAIN_LABELS.get, cells))
+    if None in labels:
+        for k, label in enumerate(labels):
+            if label is None:
+                labels[k] = _parse_label(cells[k], k + 1)
+    if bad.size:
+        _check_width(rows[first_bad], m, first_bad + 1)
     columns = list(zip(*rows))[1:]
     return labels, [
-        [_cell_token(kind, cell) for cell in column] for kind, column in zip(schema.kinds, columns)
+        # a categorical cell is its own token unless it is empty
+        column if kind == CATEGORICAL and "" not in column
+        else [_cell_token(kind, cell) for cell in column]
+        for kind, column in zip(schema.kinds, columns)
     ]
 
 
@@ -350,7 +366,7 @@ def encode_rows(raw_rows, vocab: Vocabulary) -> Dataset:
     ids = np.empty((len(labels), vocab.field_count), np.int64)
     for j, (table, column) in enumerate(zip(vocab.tables, columns)):
         # a token the table lacks takes the field's last slot, its OOV id
-        ids[:, j] = [table.get(token, len(table)) for token in column]
+        ids[:, j] = np.fromiter(map(table.get, column, repeat(len(table))), np.int64, len(column))
     ids += vocab.offsets[:-1]
     return dataset_from_encoded(ids, np.array(labels, np.int64), vocab)
 
@@ -377,15 +393,32 @@ def decode_rows(dataset: Dataset) -> list:
 
 
 def read_csv_rows(path) -> list:
-    """Every row of a CSV file as a list of cells. A row the csv module
-    cannot parse (a cell over its field size limit, say) is a DataError
-    naming the file and line."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Every row of a CSV file as a list of cells. The file is UTF-8 text; a
+    leading byte-order mark is skipped. A row the csv module cannot parse (a
+    cell over its field size limit, say) or a byte that is not UTF-8 is a
+    DataError naming the file and line."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             return list(reader)
         except csv.Error as exc:
             raise DataError(f"{path} line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+
+
+def _not_utf8(path) -> DataError:
+    """The error for a file that is not UTF-8, naming the line of its first
+    bad byte. The text layer decodes ahead of the csv reader, so the reader's
+    line count does not place the byte; decoding the whole file does."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start] + b"_").splitlines())
+        return DataError(f"{path} line {line}: byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})")
+    return DataError(f"{path}: not UTF-8 text")
 
 
 def write_csv_rows(path, rows) -> None:

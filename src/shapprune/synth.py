@@ -81,9 +81,12 @@ def synthetic_rows(config: SyntheticConfig) -> list:
     logit -= np.median(logit)
     labels = (rng.random(config.rows) < 1.0 / (1.0 + np.exp(-logit))).astype(int)
 
-    columns = [[str(y) for y in labels.tolist()]]
-    columns += [[f"t{i}" for i in idx.tolist()] for idx in token_idx]
-    return [list(row) for row in zip(*columns)]
+    # each field's token names are formatted once and shared by its rows
+    names = [np.array(["0", "1"], dtype=object)]
+    names += [np.array([f"t{i}" for i in range(size)], dtype=object)
+              for size in config.tokens_per_field]
+    columns = [spelled[idx].tolist() for spelled, idx in zip(names, [labels, *token_idx])]
+    return list(map(list, zip(*columns)))
 
 
 def synthetic_schema(config: SyntheticConfig) -> FieldSchema:

@@ -286,6 +286,28 @@ class TestPipeline:
         assert f"is deepfm dim=3 hidden=3,3, but the config describes {config}" in stderr
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--dim", "4", "--min-count", str(sp.TOY_MIN_COUNT)), "but the config describes"),
+            (("--dim", "3", "--min-count", "0"), "vocabulary does not match this checkpoint"),
+        ],
+        ids=["config", "vocabulary"],
+    )
+    def test_failed_finetune_writes_no_vocabulary(self, toy_files, capsys, tmp_path, flags, message):
+        # the vocabulary is built from --schema; a run that fails must not
+        # leave it behind as <out>.vocab
+        code, stdout, stderr = run(
+            capsys,
+            "train", "--data", toy_files["data"], "--schema", toy_files["schema"],
+            "--out", str(tmp_path / "tuned.shvr"), "--epochs", "1",
+            "--backbone", "deepfm", "--hidden", "3,3", *flags, "--mask", toy_files["pruned"],
+        )
+        assert code == 1
+        assert stderr.count("error:") == 1 and message in stderr
+        assert "event=vocabulary" not in stdout
+        assert list(tmp_path.iterdir()) == []
+
     def test_oracle_compare_reports_mae(self, toy_files, capsys, tmp_path):
         out = str(tmp_path / "exact.shvr")
         code, stdout, _ = run(
@@ -615,6 +637,17 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert f"{data} line 3" in lines[0]
         assert not out.exists()
+
+    def test_csv_byte_that_is_not_utf8_is_exit_one(self, toy_files, capsys, tmp_path):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(Path(toy_files["data"]).read_bytes() + b"1,t1,t2,\xff\n")
+        code, stdout, stderr = run(
+            capsys,
+            "eval", "--model", toy_files["model"], "--vocab", toy_files["vocab"],
+            "--data", str(data),
+        )
+        assert code == 1 and stdout == ""
+        assert stderr == f"error: {data} line 41: byte 0xff is not UTF-8 (invalid start byte)\n"
 
     def test_corrupt_checkpoint_is_exit_one(self, toy_files, capsys, tmp_path):
         bad = tmp_path / "bad.shvr"

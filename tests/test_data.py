@@ -385,6 +385,29 @@ class TestCsvFiles:
         sp.write_csv_rows(path, rows)
         assert sp.read_csv_rows(path) == rows
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        # only a leading mark is skipped; one inside a cell is part of it
+        path.write_bytes(b"\xef\xbb\xbf0,a,x\r\n1,\xef\xbb\xbfb,y\r\n")
+        assert sp.read_csv_rows(path) == [["0", "a", "x"], ["1", "\ufeffb", "y"]]
+
+    @pytest.mark.parametrize(
+        "head, bad, line, reason",
+        [
+            (b"", b"1,t1,t2,\xff\n", 1, "0xff is not UTF-8 (invalid start byte)"),
+            (b"0,a,x\r\n1,b,y\r\n", b"1,\xc3(,y\n", 3, "0xc3 is not UTF-8 (invalid continuation byte)"),
+            # past the text layer's first read-ahead chunk
+            (b"0,a,x\n" * 3000, b"1,b,\xe2\x82", 3001, "0xe2 is not UTF-8 (unexpected end of data)"),
+        ],
+        ids=["first_line", "third_line", "deep"],
+    )
+    def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path, head, bad, line, reason):
+        path = tmp_path / "data.csv"
+        path.write_bytes(head + bad)
+        with pytest.raises(sp.DataError) as info:
+            sp.read_csv_rows(path)
+        assert str(info.value) == f"{path} line {line}: byte {reason}"
+
     def test_load_csv_dataset(self, tmp_path):
         rows = [["1", "a", "9"], ["0", "b", "9"], ["0", "a", "1024"]]
         path = tmp_path / "data.csv"
@@ -445,7 +468,9 @@ LABEL_CELLS = ("0", "1", "1.0", " 0")
 def raw_row_sets(draw):
     """A schema of both field kinds and two raw row sets over it: cells from
     small pools with empty, <oov>-spelled and non-finite numeric text, and
-    now and then one row with a bad label or a wrong width."""
+    now and then one row with a bad label or a wrong width: one cell short
+    or over, a label-only row, or an empty one (what csv.reader yields for a
+    blank line)."""
     kinds = draw(st.lists(st.sampled_from(FIELD_KINDS), min_size=1, max_size=4))
     schema = sp.FieldSchema(tuple(f"f{j}" for j in range(len(kinds))), tuple(kinds))
     cells = [
@@ -457,13 +482,15 @@ def raw_row_sets(draw):
 
     def row_set():
         rows = draw(st.lists(row, max_size=12))
-        fault = draw(st.sampled_from((None, None, None, "label", "width")))
+        fault = draw(st.sampled_from((None, None, None, "label", "width", "label_only", "empty")))
         if fault and rows:
             k = draw(st.integers(0, len(rows) - 1))
             if fault == "label":
                 rows[k][0] = draw(st.sampled_from(("2", "", "yes")))
-            else:
+            elif fault == "width":
                 rows[k] = rows[k][:-1] if draw(st.booleans()) else rows[k] + ["extra"]
+            else:
+                rows[k] = ["1"] if fault == "label_only" else []
         return rows
 
     return schema, row_set(), row_set()
@@ -498,6 +525,32 @@ class TestColumnTokenizer:
             else:
                 assert np.array_equal(ds.ids, want.ids)
                 assert np.array_equal(ds.labels, want.labels)
+
+    @pytest.mark.parametrize("encode", [False, True], ids=["build", "encode"])
+    @pytest.mark.parametrize("short_row", [["1"], []], ids=["label_only", "empty"])
+    @pytest.mark.parametrize(
+        "label_row, width_row, message",
+        [
+            (4321, 5003, r"^row 4321: label '2' is not 0 or 1$"),
+            (5003, 4321, r"^row 4321: expected 3 columns \(label \+ 2 fields\), got \d$"),
+        ],
+        ids=["label_first", "width_first"],
+    )
+    def test_first_malformed_row_deep_in_a_long_file(
+        self, encode, short_row, label_row, width_row, message
+    ):
+        rows = [[str(k % 2), f"a{k % 7}", f"x{k % 11}"] for k in range(6000)]
+        rows[label_row - 1][0] = "2"
+        rows[width_row - 1] = list(short_row)
+        schema = sp.FieldSchema.categorical(2)
+        if encode:
+            vocab = sp.build_vocabulary(rows[:4000], schema)
+            fn, reference, args = sp.encode_rows, reference_encode_rows, (rows, vocab)
+        else:
+            fn, reference, args = sp.build_vocabulary, reference_build_vocabulary, (rows, schema)
+        with pytest.raises(sp.DataError, match=message):
+            fn(*args)
+        assert _outcome(fn, *args) == _outcome(reference, *args)
 
     @pytest.mark.parametrize(
         "config",
